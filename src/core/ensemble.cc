@@ -1,12 +1,8 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_set>
 
 #include "index/query_planner.h"
-#include "knn/brute_force.h"
-#include "util/thread_pool.h"
 
 namespace usp {
 
@@ -80,128 +76,67 @@ size_t UspEnsemble::EstimateCandidates(size_t budget) const {
   return total;
 }
 
+std::vector<Matrix> UspEnsemble::ScoreQueries(MatrixView queries) const {
+  std::vector<Matrix> scores;
+  scores.reserve(models_.size());
+  for (const auto& model : models_) {
+    scores.push_back(model->ScoreBins(queries));
+  }
+  return scores;
+}
+
+size_t UspEnsemble::GatherCandidates(const std::vector<Matrix>& scores,
+                                     size_t q, size_t num_probes,
+                                     std::vector<uint32_t>* candidates) const {
+  const size_t e = models_.size();
+  if (config_.combine == EnsembleCombine::kBestConfidence) {
+    // Alg. 4 steps 3-4: confidence = the model's top bin probability.
+    size_t best_model = 0;
+    float best_conf = -1.0f;
+    for (size_t j = 0; j < e; ++j) {
+      const float* row = scores[j].Row(q);
+      const float conf = *std::max_element(row, row + scores[j].cols());
+      if (conf > best_conf) {
+        best_conf = conf;
+        best_model = j;
+      }
+    }
+    indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
+                                            num_probes, candidates);
+    return std::min(num_probes, indexes_[best_model]->num_bins());
+  }
+  candidates->clear();
+  std::vector<uint32_t> model_candidates;
+  size_t probes = 0;
+  for (size_t j = 0; j < e; ++j) {
+    indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
+                                   &model_candidates);
+    probes += std::min(num_probes, indexes_[j]->num_bins());
+    candidates->insert(candidates->end(), model_candidates.begin(),
+                       model_candidates.end());
+  }
+  return probes;
+}
+
 BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
   // Planner hook: sparse selectors skip the whole score/merge/rerank pipeline
   // in favor of an allowed-set scan (index/query_planner.h).
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  const size_t num_probes = options.budget;
-  const size_t nq = queries.rows();
-  const size_t e = models_.size();
-
-  // Score queries on every model once.
-  std::vector<Matrix> scores;
-  scores.reserve(e);
-  for (const auto& model : models_) {
-    scores.push_back(model->ScoreBins(queries));
-  }
-
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    std::vector<uint32_t> candidates, merged;
-    for (size_t q = begin; q < end; ++q) {
-      merged.clear();
-      size_t probes = 0;
-      if (config_.combine == EnsembleCombine::kBestConfidence) {
-        // Alg. 4 steps 3-4: confidence = the model's top bin probability.
-        size_t best_model = 0;
-        float best_conf = -1.0f;
-        for (size_t j = 0; j < e; ++j) {
-          const float* row = scores[j].Row(q);
-          const float conf =
-              *std::max_element(row, row + scores[j].cols());
-          if (conf > best_conf) {
-            best_conf = conf;
-            best_model = j;
-          }
-        }
-        indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
-                                                num_probes, &merged);
-        probes = std::min(num_probes, indexes_[best_model]->num_bins());
-      } else {
-        std::unordered_set<uint32_t> seen;
-        for (size_t j = 0; j < e; ++j) {
-          indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
-                                         &candidates);
-          probes += std::min(num_probes, indexes_[j]->num_bins());
-          for (uint32_t id : candidates) {
-            if (seen.insert(id).second) merged.push_back(id);
-          }
-        }
-      }
-      RerankCounts counts;
-      result.SetRow(q, RerankCandidatesScored(*dist_, queries.Row(q), merged,
-                                              options.k, options.filter,
-                                              &counts));
-      // `merged` is already deduplicated, so scored == merged.size() minus
-      // what the selector dropped.
-      result.candidate_counts[q] = counts.scored;
-      if (result.stats) {
-        result.stats->candidates_scored[q] = counts.scored;
-        result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        result.stats->filtered_out[q] = counts.filtered_out;
-      }
-    }
-  });
-  return result;
+  const std::vector<Matrix> scores = ScoreQueries(request.queries);
+  return RerankGathered(
+      request.queries, request.options, *dist_,
+      [&](size_t q, std::vector<uint32_t>* candidates) {
+        return GatherCandidates(scores, q, request.options.budget, candidates);
+      });
 }
 
 RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
-  const MatrixView queries = request.queries;
-  const size_t num_probes = request.options.budget;
-  const size_t e = models_.size();
-
-  std::vector<Matrix> scores;
-  scores.reserve(e);
-  for (const auto& model : models_) {
-    scores.push_back(model->ScoreBins(queries));
-  }
-
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates, merged;
-        size_t probes = 0;
-        if (config_.combine == EnsembleCombine::kBestConfidence) {
-          size_t best_model = 0;
-          float best_conf = -1.0f;
-          for (size_t j = 0; j < e; ++j) {
-            const float* row = scores[j].Row(q);
-            const float conf = *std::max_element(row, row + scores[j].cols());
-            if (conf > best_conf) {
-              best_conf = conf;
-              best_model = j;
-            }
-          }
-          indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
-                                                  num_probes, &merged);
-          probes = std::min(num_probes, indexes_[best_model]->num_bins());
-        } else {
-          // Overlapping per-model probes may repeat ids;
-          // RangeFilterCandidates dedupes before scoring.
-          for (size_t j = 0; j < e; ++j) {
-            indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
-                                           &candidates);
-            probes += std::min(num_probes, indexes_[j]->num_bins());
-            merged.insert(merged.end(), candidates.begin(), candidates.end());
-          }
-        }
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(*dist_, queries.Row(q), &merged,
-                                          request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
+  const std::vector<Matrix> scores = ScoreQueries(request.queries);
+  return RangeFilterGathered(
+      request, *dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
+        return GatherCandidates(scores, q, request.options.budget, candidates);
       });
 }
 

@@ -89,6 +89,15 @@ class UspEnsemble : public Index {
   size_t ParameterCount() const;
 
  private:
+  /// Scores the queries on every model once.
+  std::vector<Matrix> ScoreQueries(MatrixView queries) const;
+  /// Alg. 4 candidate generation for query q: the probed bins of the most
+  /// confident model, or the union over all models (ids may repeat; the
+  /// rerank and range-filter stages dedupe). Returns the bins probed.
+  size_t GatherCandidates(const std::vector<Matrix>& scores, size_t q,
+                          size_t num_probes,
+                          std::vector<uint32_t>* candidates) const;
+
   UspEnsembleConfig config_;
   MatrixView base_;
   std::optional<DistanceComputer> dist_;  ///< exact rerank (squared L2)

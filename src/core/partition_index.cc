@@ -1,13 +1,8 @@
 #include "core/partition_index.h"
 
-#include <algorithm>
-#include <limits>
-#include <numeric>
 #include <unordered_set>
 
 #include "index/query_planner.h"
-#include "knn/brute_force.h"
-#include "util/thread_pool.h"
 
 namespace usp {
 
@@ -26,13 +21,8 @@ PartitionIndex::PartitionIndex(MatrixView base, const BinScorer* scorer,
     : base_(base),
       scorer_(scorer),
       dist_(base, metric),
-      assignments_(std::move(assignments)) {
-  USP_CHECK(assignments_.size() == base_.rows());
-  buckets_.resize(scorer_->num_bins());
-  for (size_t i = 0; i < assignments_.size(); ++i) {
-    USP_CHECK(assignments_[i] < buckets_.size());
-    buckets_[assignments_[i]].push_back(static_cast<uint32_t>(i));
-  }
+      table_(std::move(assignments), scorer->num_bins()) {
+  USP_CHECK(table_.assignments().size() == base_.rows());
 }
 
 Matrix PartitionIndex::ScoreQueries(MatrixView queries) const {
@@ -41,21 +31,7 @@ Matrix PartitionIndex::ScoreQueries(MatrixView queries) const {
 
 void PartitionIndex::CollectCandidates(const float* scores, size_t num_probes,
                                        std::vector<uint32_t>* candidates) const {
-  candidates->clear();
-  const size_t m = buckets_.size();
-  num_probes = std::min(num_probes, m);
-  // Rank bins by descending score (deterministic tie-break on bin id).
-  std::vector<uint32_t> bin_order(m);
-  std::iota(bin_order.begin(), bin_order.end(), 0u);
-  std::partial_sort(bin_order.begin(), bin_order.begin() + num_probes,
-                    bin_order.end(), [&](uint32_t a, uint32_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;
-                    });
-  for (size_t p = 0; p < num_probes; ++p) {
-    const auto& bucket = buckets_[bin_order[p]];
-    candidates->insert(candidates->end(), bucket.begin(), bucket.end());
-  }
+  table_.Collect(scores, num_probes, candidates);
 }
 
 BatchSearchResult PartitionIndex::SearchBatch(
@@ -72,72 +48,23 @@ BatchSearchResult PartitionIndex::SearchBatch(
 RadiusResult PartitionIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
   const Matrix scores = ScoreQueries(request.queries);
-  const size_t probes = std::min(request.options.budget, buckets_.size());
-  return CollectRadiusRows(
-      request.queries.rows(), request.options,
-      [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates;
-        CollectCandidates(scores.Row(q), probes, &candidates);
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(dist_, request.queries.Row(q),
-                                          &candidates, request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
+  return RangeFilterGathered(
+      request, dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
+        return table_.Collect(scores.Row(q), request.options.budget,
+                              candidates);
       });
-}
-
-size_t PartitionIndex::EstimateCandidates(size_t budget) const {
-  if (buckets_.empty()) return size();
-  const size_t probes = std::min(std::max<size_t>(budget, 1), buckets_.size());
-  return (size() * probes + buckets_.size() - 1) / buckets_.size();
 }
 
 BatchSearchResult PartitionIndex::SearchBatchWithScores(
     MatrixView queries, const Matrix& scores,
     const SearchOptions& options) const {
   USP_CHECK(scores.rows() == queries.rows());
-  USP_CHECK(scores.cols() == buckets_.size());
-  const size_t nq = queries.rows();
-  const size_t probes = std::min(options.budget, buckets_.size());
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    std::vector<uint32_t> candidates;
-    for (size_t q = begin; q < end; ++q) {
-      CollectCandidates(scores.Row(q), probes, &candidates);
-      RerankCounts counts;
-      result.SetRow(q, RerankCandidatesScored(dist_, queries.Row(q),
-                                              candidates, options.k,
-                                              options.filter, &counts));
-      // Buckets are disjoint, so post-dedupe scored == collected when no
-      // filter drops anything: candidate_counts stays |C(q)| as scored.
-      result.candidate_counts[q] = counts.scored;
-      if (result.stats) {
-        result.stats->candidates_scored[q] = counts.scored;
-        result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        result.stats->filtered_out[q] = counts.filtered_out;
-      }
-    }
-  });
-  return result;
-}
-
-BatchSearchResult PartitionIndex::SearchBatchWithScores(
-    MatrixView queries, const Matrix& scores, size_t k, size_t num_probes,
-    size_t num_threads) const {
-  SearchOptions options;
-  options.k = k;
-  options.budget = num_probes;
-  options.num_threads = num_threads;
-  return SearchBatchWithScores(queries, scores, options);
+  USP_CHECK(scores.cols() == table_.num_bins());
+  return RerankGathered(
+      queries, options, dist_,
+      [&](size_t q, std::vector<uint32_t>* candidates) {
+        return table_.Collect(scores.Row(q), options.budget, candidates);
+      });
 }
 
 double KnnAccuracy(const BatchSearchResult& result,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/bin_lookup.h"
 #include "core/bin_scorer.h"
 #include "dist/distance_computer.h"
 #include "dist/metric.h"
@@ -68,21 +69,17 @@ class PartitionIndex : public Index {
                                           const Matrix& scores,
                                           const SearchOptions& options) const;
 
-  /// Positional convenience over the options form (historical signature).
-  BatchSearchResult SearchBatchWithScores(MatrixView queries,
-                                          const Matrix& scores, size_t k,
-                                          size_t num_probes,
-                                          size_t num_threads = 0) const;
-
   /// Collects the candidate ids for one query given its bin scores.
   void CollectCandidates(const float* scores, size_t num_probes,
                          std::vector<uint32_t>* candidates) const;
 
   /// Planner cost input (index/query_planner.h): balanced-bin candidate
   /// volume, ceil(n * min(budget, bins) / bins).
-  size_t EstimateCandidates(size_t budget) const override;
+  size_t EstimateCandidates(size_t budget) const override {
+    return table_.EstimateCandidates(budget);
+  }
 
-  size_t num_bins() const { return buckets_.size(); }
+  size_t num_bins() const { return table_.num_bins(); }
   size_t dim() const override { return base_.cols(); }
   size_t size() const override { return base_.rows(); }
   Metric metric() const override { return dist_.metric(); }
@@ -90,15 +87,18 @@ class PartitionIndex : public Index {
   MatrixView base_view() const override { return base_; }
   MatrixView base() const { return base_; }
   const BinScorer* scorer() const { return scorer_; }
-  const std::vector<std::vector<uint32_t>>& buckets() const { return buckets_; }
-  const std::vector<uint32_t>& assignments() const { return assignments_; }
+  const std::vector<std::vector<uint32_t>>& buckets() const {
+    return table_.buckets();
+  }
+  const std::vector<uint32_t>& assignments() const {
+    return table_.assignments();
+  }
 
  private:
   MatrixView base_;
   const BinScorer* scorer_;
   DistanceComputer dist_;  ///< exact rerank under the index metric
-  std::vector<uint32_t> assignments_;
-  std::vector<std::vector<uint32_t>> buckets_;  ///< the paper's lookup table
+  BinLookupTable table_;
 };
 
 /// Fraction of true neighbors recovered (Eq. 1): |returned ∩ truth| / k,

@@ -8,7 +8,6 @@
 #include "core/ensemble.h"
 #include "core/partition_index.h"
 #include "core/partitioner.h"
-#include "dist/quant_kernels.h"
 #include "hnsw/hnsw.h"
 #include "index/index_records.h"
 #include "ivf/ivf.h"
@@ -223,39 +222,47 @@ void AppendAssignments(const std::vector<uint32_t>& assignments,
                      assignments.size() * sizeof(uint32_t));
 }
 
-/// Adds kPqMeta / kPqOffsets / kPqCodebooks. The returned buffers back the
-/// referenced sections and must stay alive until WriteTo.
+/// Buffers backing the PQ quantizer sections; must stay alive until WriteTo.
 struct PqSections {
   PqMetaRecord meta;
   std::vector<uint64_t> offsets;
   std::vector<float> codebooks;
 };
 
-PqSections AppendPqSections(const ProductQuantizer& pq,
-                            ContainerWriter* writer) {
-  PqSections out;
-  out.meta = PqMetaRecord{};
-  out.meta.num_subspaces = pq.num_subspaces();
-  out.meta.codebook_size = pq.codebook_size();
-  out.meta.kmeans_iterations = pq.config().kmeans_iterations;
-  out.meta.seed = pq.config().seed;
-  out.meta.codebook_rows = pq.codebook(0).rows();
-  out.meta.dims = pq.dims();
-  out.meta.anisotropic_eta = pq.config().anisotropic_eta;
+/// The PQ payload of both PQ list types (kScann, kIvfPq): kPqMeta /
+/// kPqOffsets / kPqCodebooks (backed by *out), the (n x M) kPqCodes, and —
+/// when the index carries them — the kPqPackedCodes fast-scan blocks, so
+/// mmap'd loads serve those zero-copy instead of re-packing kPqCodes.
+void AppendPqList(const ScannIndex& index, PqSections* out,
+                  ContainerWriter* writer) {
+  const ProductQuantizer& pq = index.quantizer();
+  out->meta = PqMetaRecord{};
+  out->meta.num_subspaces = pq.num_subspaces();
+  out->meta.codebook_size = pq.codebook_size();
+  out->meta.kmeans_iterations = pq.config().kmeans_iterations;
+  out->meta.seed = pq.config().seed;
+  out->meta.codebook_rows = pq.codebook(0).rows();
+  out->meta.dims = pq.dims();
+  out->meta.anisotropic_eta = pq.config().anisotropic_eta;
 
-  out.offsets.assign(pq.subspace_offsets().begin(),
-                     pq.subspace_offsets().end());
+  out->offsets.assign(pq.subspace_offsets().begin(),
+                      pq.subspace_offsets().end());
   for (size_t s = 0; s < pq.num_subspaces(); ++s) {
     const Matrix& codebook = pq.codebook(s);
-    out.codebooks.insert(out.codebooks.end(), codebook.data(),
-                         codebook.data() + codebook.size());
+    out->codebooks.insert(out->codebooks.end(), codebook.data(),
+                          codebook.data() + codebook.size());
   }
-  writer->AddSection(SectionTag::kPqMeta, 0, &out.meta, sizeof(out.meta));
-  writer->AddSection(SectionTag::kPqOffsets, 0, out.offsets.data(),
-                     out.offsets.size() * sizeof(uint64_t));
-  writer->AddSection(SectionTag::kPqCodebooks, 0, out.codebooks.data(),
-                     out.codebooks.size() * sizeof(float));
-  return out;
+  writer->AddSection(SectionTag::kPqMeta, 0, &out->meta, sizeof(out->meta));
+  writer->AddSection(SectionTag::kPqOffsets, 0, out->offsets.data(),
+                     out->offsets.size() * sizeof(uint64_t));
+  writer->AddSection(SectionTag::kPqCodebooks, 0, out->codebooks.data(),
+                     out->codebooks.size() * sizeof(float));
+  writer->AddSection(SectionTag::kPqCodes, 0, index.codes(),
+                     index.size() * pq.num_subspaces());
+  if (index.has_fast_scan()) {
+    writer->AddSection(SectionTag::kPqPackedCodes, 0, index.packed_codes(),
+                       index.PackedBytes());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -289,17 +296,9 @@ Status SaveIvfFlat(const IvfFlatIndex& index, Writer* out,
   const Matrix& centroids = index.coarse_quantizer().centroids();
   writer.AddSection(SectionTag::kCentroids, 0, centroids.data(),
                     centroids.size() * sizeof(float));
-  AppendBaseSection(index.partition().base(), &writer);
-  AppendAssignments(index.partition().assignments(), 0, &writer);
+  AppendBaseSection(index.base(), &writer);
+  AppendAssignments(index.assignments(), 0, &writer);
   return writer.WriteTo(out, name);
-}
-
-/// Appends the fast-scan block section when the index carries packed codes,
-/// so mmap'd loads serve them zero-copy instead of re-packing kPqCodes.
-void AppendPackedCodes(const ScannIndex& scann, ContainerWriter* writer) {
-  if (!scann.has_fast_scan()) return;
-  writer->AddSection(SectionTag::kPqPackedCodes, 0, scann.packed_codes(),
-                     scann.PackedBytes());
 }
 
 Status SaveIvfPq(const IvfPqIndex& index, Writer* out,
@@ -315,13 +314,10 @@ Status SaveIvfPq(const IvfPqIndex& index, Writer* out,
   const Matrix& centroids = index.coarse_quantizer().centroids();
   writer.AddSection(SectionTag::kCentroids, 0, centroids.data(),
                     centroids.size() * sizeof(float));
-  AppendBaseSection(index.scann().base(), &writer);
-  const std::vector<uint32_t> assignments = index.scann().Assignments();
-  AppendAssignments(assignments, 0, &writer);
-  const PqSections pq = AppendPqSections(index.scann().quantizer(), &writer);
-  writer.AddSection(SectionTag::kPqCodes, 0, index.scann().codes(),
-                    index.size() * index.scann().quantizer().num_subspaces());
-  AppendPackedCodes(index.scann(), &writer);
+  AppendBaseSection(index.base(), &writer);
+  AppendAssignments(index.table().assignments(), 0, &writer);
+  PqSections pq;
+  AppendPqList(index, &pq, &writer);
   return writer.WriteTo(out, name);
 }
 
@@ -332,21 +328,17 @@ Status SaveScann(const ScannIndex& index, Writer* out,
   ScannConfigRecord config{};
   config.rerank_budget = index.config().rerank_budget;
   config.scorer_kind = kScorerNone;
-  std::vector<uint32_t> assignments;
   if (index.has_partition()) {
     Status status = AppendScorerSections(index.partitioner(), 0, &writer,
                                          &config.scorer_kind,
                                          &config.scorer_metric);
     if (!status.ok()) return status;
-    assignments = index.Assignments();
-    AppendAssignments(assignments, 0, &writer);
+    AppendAssignments(index.table().assignments(), 0, &writer);
   }
   writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
   AppendBaseSection(index.base(), &writer);
-  const PqSections pq = AppendPqSections(index.quantizer(), &writer);
-  writer.AddSection(SectionTag::kPqCodes, 0, index.codes(),
-                    index.size() * index.quantizer().num_subspaces());
-  AppendPackedCodes(index, &writer);
+  PqSections pq;
+  AppendPqList(index, &pq, &writer);
   return writer.WriteTo(out, name);
 }
 
@@ -545,7 +537,7 @@ Status SaveSharded(const ShardedIndex& index, Writer* out,
 /// the ownership of scorers the concrete index only points at.
 struct IndexBundle {
   std::unique_ptr<ContainerReader> container;
-  Matrix base_owned;
+  std::vector<float> base_owned;
   MatrixView base;
   std::vector<uint8_t> codes_owned;
   const uint8_t* codes = nullptr;
@@ -636,8 +628,34 @@ StatusOr<std::vector<uint32_t>> ReadU32Section(ContainerReader* container,
   return values;
 }
 
+/// Points *data at section (tag, 0) after checking that it holds exactly
+/// `bytes`: zero-copy into the mapping in mmap mode, a heap copy held in
+/// *owned otherwise. `what` names the payload in the size-mismatch error.
+template <typename T>
+Status MapSection(ContainerReader* container, SectionTag tag, uint64_t bytes,
+                  const char* what, std::vector<T>* owned, const T** data) {
+  StatusOr<SectionEntry> entry = container->Find(tag, 0);
+  if (!entry.ok()) return entry.status();
+  if (entry.value().size != bytes) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " section size mismatch in " +
+                                   container->path());
+  }
+  if (container->zero_copy()) {
+    StatusOr<const uint8_t*> mapped = container->SectionData(tag, 0);
+    if (!mapped.ok()) return mapped.status();
+    *data = reinterpret_cast<const T*>(mapped.value());
+    return Status::Ok();
+  }
+  owned->resize(bytes / sizeof(T));
+  Status status = container->ReadSection(tag, 0, owned->data(), bytes);
+  if (!status.ok()) return status;
+  *data = owned->data();
+  return Status::Ok();
+}
+
 /// Materializes the base-vector payload: a zero-copy view in mmap mode, an
-/// owned heap Matrix in streaming mode. Fills bundle->base either way.
+/// owned heap copy in streaming mode. Fills bundle->base either way.
 Status LoadBase(IndexBundle* bundle) {
   ContainerReader* container = bundle->container.get();
   const uint64_t rows = container->header().num_points;
@@ -652,26 +670,23 @@ Status LoadBase(IndexBundle* bundle) {
     return Status::InvalidArgument("implausible index shape in " +
                                    container->path());
   }
-  StatusOr<SectionEntry> entry = container->Find(SectionTag::kBaseVectors, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != bytes) {
-    return Status::InvalidArgument("base-vector section size mismatch in " +
-                                   container->path());
-  }
-  if (container->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        container->SectionData(SectionTag::kBaseVectors, 0);
-    if (!data.ok()) return data.status();
-    bundle->base = MatrixView(reinterpret_cast<const float*>(data.value()),
-                              rows, cols);
-    return Status::Ok();
-  }
-  StatusOr<Matrix> owned =
-      ReadMatrixSection(container, SectionTag::kBaseVectors, 0, rows, cols);
-  if (!owned.ok()) return owned.status();
-  bundle->base_owned = std::move(owned).value();
-  bundle->base = MatrixView(bundle->base_owned);
+  const float* data = nullptr;
+  Status status = MapSection(container, SectionTag::kBaseVectors, bytes,
+                             "base-vector", &bundle->base_owned, &data);
+  if (!status.ok()) return status;
+  bundle->base = MatrixView(data, rows, cols);
   return Status::Ok();
+}
+
+/// The opening steps every list-index loader shares: take ownership of the
+/// container, validate the header metric, and load the base vectors.
+Status OpenListBundle(std::unique_ptr<ContainerReader> container,
+                      IndexBundle* bundle) {
+  bundle->container = std::move(container);
+  Status status = CheckMetricValue(bundle->container->header().metric,
+                                   bundle->container->path());
+  if (!status.ok()) return status;
+  return LoadBase(bundle);
 }
 
 /// Loads residency assignments and checks every bin id against `num_bins`
@@ -796,23 +811,9 @@ StatusOr<ProductQuantizer> LoadPq(IndexBundle* bundle) {
   if (!ByteCount(n, meta.num_subspaces, &code_bytes)) {
     return Status::InvalidArgument("implausible code shape in " + path);
   }
-  StatusOr<SectionEntry> codes_entry = container->Find(SectionTag::kPqCodes, 0);
-  if (!codes_entry.ok()) return codes_entry.status();
-  if (codes_entry.value().size != code_bytes) {
-    return Status::InvalidArgument("PQ code section size mismatch in " + path);
-  }
-  if (container->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        container->SectionData(SectionTag::kPqCodes, 0);
-    if (!data.ok()) return data.status();
-    bundle->codes = data.value();
-  } else {
-    StatusOr<std::vector<uint8_t>> owned =
-        container->ReadSectionBytes(SectionTag::kPqCodes, 0);
-    if (!owned.ok()) return owned.status();
-    bundle->codes_owned = std::move(owned).value();
-    bundle->codes = bundle->codes_owned.data();
-  }
+  status = MapSection(container, SectionTag::kPqCodes, code_bytes, "PQ code",
+                      &bundle->codes_owned, &bundle->codes);
+  if (!status.ok()) return status;
 
   return ProductQuantizer(config, static_cast<size_t>(dim),
                           std::vector<size_t>(offsets.begin(), offsets.end()),
@@ -821,10 +822,11 @@ StatusOr<ProductQuantizer> LoadPq(IndexBundle* bundle) {
 
 /// Loads the optional kPqPackedCodes section into bundle->packed (zero-copy
 /// when mapped). The stored size must equal the bucket-grouped block layout
-/// the index derives from `assignments` (quant/scann_index.cc SetUpFastScan);
-/// a missing section leaves bundle->packed null and the blocks are rebuilt
-/// from kPqCodes. Sections saved for a wide codebook are impossible (the
-/// saver only packs 4-bit codes), so codebook_size > 16 skips the read.
+/// the index derives from `assignments` (PackedGroupOffsets, the function
+/// ScannIndex lays its blocks out with); a missing section leaves
+/// bundle->packed null and the blocks are rebuilt from kPqCodes. Sections
+/// saved for a wide codebook are impossible (the saver only packs 4-bit
+/// codes), so codebook_size > 16 skips the read.
 Status LoadPackedCodes(IndexBundle* bundle, const ProductQuantizer& pq,
                        const std::vector<uint32_t>& assignments,
                        uint64_t num_bins) {
@@ -832,41 +834,15 @@ Status LoadPackedCodes(IndexBundle* bundle, const ProductQuantizer& pq,
   if (pq.codebook_size() > 16 || !c->Has(SectionTag::kPqPackedCodes, 0)) {
     return Status::Ok();
   }
-  const uint64_t n = c->header().num_points;
-  uint64_t blocks = 0;
-  if (assignments.empty()) {
-    blocks = (n + kPq4BlockSize - 1) / kPq4BlockSize;
-  } else {
-    std::vector<uint64_t> counts(num_bins, 0);
-    for (uint32_t bin : assignments) ++counts[bin];
-    for (uint64_t count : counts) {
-      blocks += (count + kPq4BlockSize - 1) / kPq4BlockSize;
-    }
-  }
+  const uint64_t blocks =
+      PackedGroupOffsets(assignments, num_bins, c->header().num_points).back();
   uint64_t bytes = 0;
   if (!ByteCount(blocks, 16 * pq.num_subspaces(), &bytes)) {
     return Status::InvalidArgument("implausible packed-code shape in " +
                                    c->path());
   }
-  StatusOr<SectionEntry> entry = c->Find(SectionTag::kPqPackedCodes, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != bytes) {
-    return Status::InvalidArgument("packed-code section size mismatch in " +
-                                   c->path());
-  }
-  if (c->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        c->SectionData(SectionTag::kPqPackedCodes, 0);
-    if (!data.ok()) return data.status();
-    bundle->packed = data.value();
-    return Status::Ok();
-  }
-  StatusOr<std::vector<uint8_t>> owned =
-      c->ReadSectionBytes(SectionTag::kPqPackedCodes, 0);
-  if (!owned.ok()) return owned.status();
-  bundle->packed_owned = std::move(owned).value();
-  bundle->packed = bundle->packed_owned.data();
-  return Status::Ok();
+  return MapSection(c, SectionTag::kPqPackedCodes, bytes, "packed-code",
+                    &bundle->packed_owned, &bundle->packed);
 }
 
 // ---------------------------------------------------------------------------
@@ -876,12 +852,9 @@ Status LoadPackedCodes(IndexBundle* bundle, const ProductQuantizer& pq,
 StatusOr<std::unique_ptr<Index>> LoadPartition(
     std::unique_ptr<ContainerReader> container) {
   auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+  Status status = OpenListBundle(std::move(container), bundle.get());
+  if (!status.ok()) return status;
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
-  if (!status.ok()) return status;
 
   PartitionConfigRecord config{};
   status = c->ReadSection(SectionTag::kConfig, 0, &config, sizeof(config));
@@ -905,12 +878,9 @@ StatusOr<std::unique_ptr<Index>> LoadPartition(
 StatusOr<std::unique_ptr<Index>> LoadIvfFlat(
     std::unique_ptr<ContainerReader> container) {
   auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+  Status status = OpenListBundle(std::move(container), bundle.get());
+  if (!status.ok()) return status;
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
-  if (!status.ok()) return status;
 
   IvfFlatConfigRecord record{};
   status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
@@ -939,12 +909,9 @@ StatusOr<std::unique_ptr<Index>> LoadIvfFlat(
 StatusOr<std::unique_ptr<Index>> LoadIvfPq(
     std::unique_ptr<ContainerReader> container) {
   auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+  Status status = OpenListBundle(std::move(container), bundle.get());
+  if (!status.ok()) return status;
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
-  if (!status.ok()) return status;
 
   IvfPqConfigRecord record{};
   status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
@@ -982,12 +949,9 @@ StatusOr<std::unique_ptr<Index>> LoadIvfPq(
 StatusOr<std::unique_ptr<Index>> LoadScann(
     std::unique_ptr<ContainerReader> container) {
   auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+  Status status = OpenListBundle(std::move(container), bundle.get());
+  if (!status.ok()) return status;
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
-  if (!status.ok()) return status;
 
   ScannConfigRecord record{};
   status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
@@ -1024,13 +988,10 @@ StatusOr<std::unique_ptr<Index>> LoadScann(
 StatusOr<std::unique_ptr<Index>> LoadSq8(
     std::unique_ptr<ContainerReader> container) {
   auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+  Status status = OpenListBundle(std::move(container), bundle.get());
+  if (!status.ok()) return status;
   ContainerReader* c = bundle->container.get();
   const std::string& path = c->path();
-  Status status = CheckMetricValue(c->header().metric, path);
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
-  if (!status.ok()) return status;
   const uint64_t n = c->header().num_points;
   const uint64_t dim = c->header().dim;
 
@@ -1050,23 +1011,9 @@ StatusOr<std::unique_ptr<Index>> LoadSq8(
   if (!ByteCount(n, dim, &code_bytes)) {
     return Status::InvalidArgument("implausible code shape in " + path);
   }
-  StatusOr<SectionEntry> entry = c->Find(SectionTag::kSq8Codes, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != code_bytes) {
-    return Status::InvalidArgument("SQ8 code section size mismatch in " +
-                                   path);
-  }
-  if (c->zero_copy()) {
-    StatusOr<const uint8_t*> data = c->SectionData(SectionTag::kSq8Codes, 0);
-    if (!data.ok()) return data.status();
-    bundle->codes = data.value();
-  } else {
-    StatusOr<std::vector<uint8_t>> owned =
-        c->ReadSectionBytes(SectionTag::kSq8Codes, 0);
-    if (!owned.ok()) return owned.status();
-    bundle->codes_owned = std::move(owned).value();
-    bundle->codes = bundle->codes_owned.data();
-  }
+  status = MapSection(c, SectionTag::kSq8Codes, code_bytes, "SQ8 code",
+                      &bundle->codes_owned, &bundle->codes);
+  if (!status.ok()) return status;
 
   Sq8IndexConfig config;
   config.metric = static_cast<Metric>(c->header().metric);

@@ -6,64 +6,90 @@
 
 namespace usp {
 
-IvfFlatIndex::IvfFlatIndex(const Matrix* base, const IvfConfig& config)
-    : config_(config) {
+namespace ivf_internal {
+
+struct CoarseTraining {
+  KMeansPartitioner quantizer;
+  std::vector<uint32_t> assignments;
+};
+
+}  // namespace ivf_internal
+
+namespace {
+
+using ivf_internal::CoarseTraining;
+
+/// The rows the IVF quantizers train on: the base, or under cosine its
+/// unit-normalized copy, held in *normalized (spherical k-means, and PQ on
+/// the normalized base that the ScannIndex encodes).
+const Matrix& TrainingRows(const Matrix& base, Metric metric,
+                           Matrix* normalized) {
+  if (metric != Metric::kCosine) return base;
+  *normalized = base.Clone();
+  NormalizeRows(normalized);
+  return *normalized;
+}
+
+/// Trains the coarse quantizer of both IVF types, keeping each metric's
+/// list-residency rule.
+CoarseTraining TrainCoarseQuantizer(const Matrix& base,
+                                    const IvfConfig& config) {
   KMeansConfig kc;
   kc.num_clusters = config.nlist;
   kc.max_iterations = config.kmeans_iterations;
   kc.seed = config.seed;
-  switch (config.metric) {
-    case Metric::kSquaredL2:
-      coarse_ = std::make_unique<KMeansPartitioner>(*base, kc);
-      index_ = std::make_unique<PartitionIndex>(base, coarse_.get());
-      break;
-    case Metric::kInnerProduct: {
-      // Standard IVF-IP: lists hold L2-nearest-centroid residents, queries
-      // probe lists by centroid inner product, rerank is exact -<q, x>.
-      KMeansResult km = RunKMeans(*base, kc);
-      coarse_ = std::make_unique<KMeansPartitioner>(std::move(km.centroids),
-                                                    Metric::kInnerProduct);
-      index_ = std::make_unique<PartitionIndex>(base, coarse_.get(),
-                                                std::move(km.assignments),
-                                                Metric::kInnerProduct);
-      break;
-    }
-    case Metric::kCosine: {
-      // Spherical coarse quantizer: k-means on unit-normalized data.
-      // Residency is assigned with the same cosine scoring that ranks probe
-      // lists at query time (argmax similarity to the unit centroids), so a
-      // point's home list is always its query-side rank-1 list; rerank is
-      // exact cosine distance.
-      Matrix normalized = base->Clone();
-      NormalizeRows(&normalized);
-      KMeansResult km = RunKMeans(normalized, kc);
-      coarse_ = std::make_unique<KMeansPartitioner>(std::move(km.centroids),
-                                                    Metric::kCosine);
-      index_ = std::make_unique<PartitionIndex>(
-          base, coarse_.get(), coarse_->AssignBins(normalized),
-          Metric::kCosine);
-      break;
-    }
-  }
+  Matrix normalized;
+  const Matrix& train = TrainingRows(base, config.metric, &normalized);
+  KMeansResult km = RunKMeans(train, kc);
+  KMeansPartitioner quantizer(std::move(km.centroids), config.metric);
+  // Standard IVF-IP keeps k-means' L2-nearest-centroid residents while
+  // queries probe lists by centroid inner product. L2 and cosine assign
+  // residency with the scoring that ranks probes, so a point's home list is
+  // always its query-side rank-1 list.
+  std::vector<uint32_t> assignments =
+      config.metric == Metric::kInnerProduct ? std::move(km.assignments)
+                                             : quantizer.AssignBins(train);
+  return {std::move(quantizer), std::move(assignments)};
 }
+
+ScannIndexConfig ScannConfig(const IvfConfig& config) {
+  ScannIndexConfig sc;
+  sc.rerank_budget = config.rerank_budget;
+  sc.adc = config.adc;
+  return sc;
+}
+
+/// Fails loudly rather than silently serving a malformed IVF-PQ config;
+/// fallible callers (config files, loaders) run ValidateConfig first.
+const IvfConfig& CheckedPqConfig(const IvfConfig& config) {
+  USP_CHECK(IvfPqIndex::ValidateConfig(config).ok());
+  return config;
+}
+
+ProductQuantizer TrainPq(const Matrix& base, const IvfConfig& config) {
+  ProductQuantizer pq(config.pq);
+  Matrix normalized;
+  pq.Train(TrainingRows(base, config.metric, &normalized));
+  return pq;
+}
+
+}  // namespace
+
+IvfFlatIndex::IvfFlatIndex(const Matrix* base, const IvfConfig& config)
+    : IvfFlatIndex(base, config,
+                   TrainCoarseQuantizer(*base, config)) {}
+
+IvfFlatIndex::IvfFlatIndex(const Matrix* base, const IvfConfig& config,
+                           ivf_internal::CoarseTraining coarse)
+    : OwnedCoarseQuantizer{config, std::move(coarse.quantizer)},
+      PartitionIndex(base, &coarse_, std::move(coarse.assignments),
+                     config.metric) {}
 
 IvfFlatIndex::IvfFlatIndex(MatrixView base, const IvfConfig& config,
                            Matrix centroids, std::vector<uint32_t> assignments)
-    : config_(config) {
-  coarse_ = std::make_unique<KMeansPartitioner>(
-      KMeansPartitioner::FromTrainedCentroids(std::move(centroids),
-                                              config.metric));
-  index_ = std::make_unique<PartitionIndex>(base, coarse_.get(),
-                                            std::move(assignments),
-                                            config.metric);
-}
-
-BatchSearchResult IvfFlatIndex::SearchBatch(
-    const SearchRequest& request) const {
-  // The inner PartitionIndex shares the base-row id space, so the selector
-  // and stats pass through unchanged.
-  return index_->SearchBatch(request);
-}
+    : OwnedCoarseQuantizer{config, KMeansPartitioner::FromTrainedCentroids(
+                                       std::move(centroids), config.metric)},
+      PartitionIndex(base, &coarse_, std::move(assignments), config.metric) {}
 
 Status IvfPqIndex::ValidateConfig(const IvfConfig& config) {
   if (config.nlist == 0) {
@@ -80,80 +106,24 @@ Status IvfPqIndex::ValidateConfig(const IvfConfig& config) {
 }
 
 IvfPqIndex::IvfPqIndex(const Matrix* base, const IvfConfig& config)
-    : config_(config) {
-  // Fail loudly rather than silently serving a malformed config; fallible
-  // callers (config files, loaders) should run ValidateConfig first.
-  USP_CHECK(ValidateConfig(config).ok());
-  KMeansConfig kc;
-  kc.num_clusters = config.nlist;
-  kc.max_iterations = config.kmeans_iterations;
-  kc.seed = config.seed;
-  ScannIndexConfig sc;
-  sc.rerank_budget = config.rerank_budget;
-  sc.adc = config.adc;
-  switch (config.metric) {
-    case Metric::kSquaredL2: {
-      coarse_ = std::make_unique<KMeansPartitioner>(*base, kc);
-      ProductQuantizer pq(config.pq);
-      pq.Train(*base);
-      index_ = std::make_unique<ScannIndex>(base, coarse_.get(), std::move(pq),
-                                            sc);
-      break;
-    }
-    case Metric::kInnerProduct: {
-      // IVF-IP (mirrors IvfFlatIndex): lists hold L2-nearest-centroid
-      // residents, probes rank lists by centroid dot product, ADC ranks by
-      // dot tables, rerank is exact -<q, x>.
-      KMeansResult km = RunKMeans(*base, kc);
-      coarse_ = std::make_unique<KMeansPartitioner>(std::move(km.centroids),
-                                                    Metric::kInnerProduct);
-      ProductQuantizer pq(config.pq);
-      pq.Train(*base);
-      index_ = std::make_unique<ScannIndex>(base, coarse_.get(), std::move(pq),
-                                            sc, Metric::kInnerProduct,
-                                            &km.assignments);
-      break;
-    }
-    case Metric::kCosine: {
-      // Spherical coarse quantizer + PQ on the unit-normalized base; the
-      // ScannIndex encodes its own normalized clone and reranks by exact
-      // cosine distance.
-      Matrix normalized = base->Clone();
-      NormalizeRows(&normalized);
-      KMeansResult km = RunKMeans(normalized, kc);
-      coarse_ = std::make_unique<KMeansPartitioner>(std::move(km.centroids),
-                                                    Metric::kCosine);
-      const std::vector<uint32_t> assignments =
-          coarse_->AssignBins(normalized);
-      ProductQuantizer pq(config.pq);
-      pq.Train(normalized);
-      index_ = std::make_unique<ScannIndex>(base, coarse_.get(), std::move(pq),
-                                            sc, Metric::kCosine, &assignments);
-      break;
-    }
-  }
-}
+    : IvfPqIndex(base, config,
+                 TrainCoarseQuantizer(*base, CheckedPqConfig(config))) {}
+
+IvfPqIndex::IvfPqIndex(const Matrix* base, const IvfConfig& config,
+                       ivf_internal::CoarseTraining coarse)
+    : OwnedCoarseQuantizer{config, std::move(coarse.quantizer)},
+      ScannIndex(base, &coarse_, TrainPq(*base, config), ScannConfig(config),
+                 config.metric, &coarse.assignments) {}
 
 IvfPqIndex::IvfPqIndex(MatrixView base, const IvfConfig& config,
                        Matrix centroids, ProductQuantizer quantizer,
                        const uint8_t* codes,
                        const std::vector<uint32_t>& assignments,
                        const uint8_t* packed)
-    : config_(config) {
-  USP_CHECK(ValidateConfig(config).ok());
-  coarse_ = std::make_unique<KMeansPartitioner>(
-      KMeansPartitioner::FromTrainedCentroids(std::move(centroids),
-                                              config.metric));
-  ScannIndexConfig sc;
-  sc.rerank_budget = config.rerank_budget;
-  sc.adc = config.adc;
-  index_ = std::make_unique<ScannIndex>(base, coarse_.get(),
-                                        std::move(quantizer), sc, codes,
-                                        assignments, config.metric, packed);
-}
-
-BatchSearchResult IvfPqIndex::SearchBatch(const SearchRequest& request) const {
-  return index_->SearchBatch(request);
-}
+    : OwnedCoarseQuantizer{CheckedPqConfig(config),
+                           KMeansPartitioner::FromTrainedCentroids(
+                               std::move(centroids), config.metric)},
+      ScannIndex(base, &coarse_, std::move(quantizer), ScannConfig(config),
+                 codes, assignments, config.metric, packed) {}
 
 }  // namespace usp

@@ -1,11 +1,13 @@
 // FAISS-style inverted-file indexes (the "FAISS" baseline of Fig. 7):
 // IVF-Flat (k-means coarse quantizer + exact scan of probed lists) and
 // IVF-PQ (same coarse quantizer, ADC scan + exact re-rank inside the lists).
+// Each is the list index it runs on — PartitionIndex or ScannIndex — with a
+// k-means coarse quantizer it owns as the bin scorer.
 #ifndef USP_IVF_IVF_H_
 #define USP_IVF_IVF_H_
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/kmeans.h"
@@ -40,8 +42,35 @@ struct IvfConfig {
   AdcMode adc = AdcMode::kAuto;
 };
 
-/// IVF-Flat: probe nprobe nearest centroids, scan their lists exactly.
-class IvfFlatIndex : public Index {
+namespace ivf_internal {
+
+/// What an IVF index owns beyond its list index: the config and the k-means
+/// coarse quantizer. The IVF types inherit it privately and list it before
+/// the list index, so the quantizer exists before the list index points at
+/// it.
+struct OwnedCoarseQuantizer {
+  OwnedCoarseQuantizer(const IvfConfig& config, KMeansPartitioner coarse)
+      : ivf_config_(config), coarse_(std::move(coarse)) {}
+  // The list index points at coarse_, so an IVF index stays where it was
+  // built: no copies, no moves.
+  OwnedCoarseQuantizer(const OwnedCoarseQuantizer&) = delete;
+  OwnedCoarseQuantizer& operator=(const OwnedCoarseQuantizer&) = delete;
+
+  IvfConfig ivf_config_;
+  KMeansPartitioner coarse_;
+};
+
+/// A trained coarse quantizer plus its list residency (ivf.cc).
+struct CoarseTraining;
+
+}  // namespace ivf_internal
+
+/// IVF-Flat: a PartitionIndex whose scorer is an owned k-means coarse
+/// quantizer. Probes the `options.budget` (= nprobe) best lists and scans
+/// them exactly; search, filtering, radius search and planning are
+/// PartitionIndex's.
+class IvfFlatIndex : private ivf_internal::OwnedCoarseQuantizer,
+                     public PartitionIndex {
  public:
   IvfFlatIndex(const Matrix* base, const IvfConfig& config);
 
@@ -51,46 +80,23 @@ class IvfFlatIndex : public Index {
   IvfFlatIndex(MatrixView base, const IvfConfig& config, Matrix centroids,
                std::vector<uint32_t> assignments);
 
-  size_t dim() const override { return index_->dim(); }
-  size_t size() const override { return index_->size(); }
-  Metric metric() const override { return index_->metric(); }
   IndexType type() const override { return IndexType::kIvfFlat; }
-  MatrixView base_view() const override { return index_->base(); }
 
-  /// Planner cost input: the inner PartitionIndex's balanced-list estimate.
-  /// (Query planning itself also happens in the inner index, whose
-  /// SearchBatch this class delegates to.)
-  size_t EstimateCandidates(size_t budget) const override {
-    return index_->EstimateCandidates(budget);
-  }
-
-  /// k-NN search probing the `options.budget` (= nprobe) best lists; an
-  /// options.filter restricts results to allowed base rows (dropped before
-  /// the exact scan). `options.num_threads` caps the per-query search
-  /// sharding (0 = pool default, 1 = serial; coarse scoring still uses the
-  /// pool's GEMM); results are identical at every setting.
-  using Index::SearchBatch;
-  BatchSearchResult SearchBatch(const SearchRequest& request) const override;
-
-  /// Radius search over the probed lists: delegates to the inner
-  /// PartitionIndex, which shares this index's base view and metric, so the
-  /// full-budget bit-identity contract carries over unchanged.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
-    return index_->RadiusSearchBatch(request);
-  }
-
-  const KMeansPartitioner& coarse_quantizer() const { return *coarse_; }
-  const PartitionIndex& partition() const { return *index_; }
-  const IvfConfig& config() const { return config_; }
+  const KMeansPartitioner& coarse_quantizer() const { return coarse_; }
+  const PartitionIndex& partition() const { return *this; }
+  const IvfConfig& config() const { return ivf_config_; }
 
  private:
-  IvfConfig config_;
-  std::unique_ptr<KMeansPartitioner> coarse_;
-  std::unique_ptr<PartitionIndex> index_;
+  IvfFlatIndex(const Matrix* base, const IvfConfig& config,
+               ivf_internal::CoarseTraining coarse);
 };
 
-/// IVF-PQ: probe nprobe lists, score with ADC, exact re-rank of the best.
-class IvfPqIndex : public Index {
+/// IVF-PQ: a ScannIndex whose partitioner is an owned k-means coarse
+/// quantizer. Probes the `options.budget` (= nprobe) best lists, scores them
+/// with ADC and exact-reranks the best; search, filtering, radius search and
+/// planning are ScannIndex's.
+class IvfPqIndex : private ivf_internal::OwnedCoarseQuantizer,
+                   public ScannIndex {
  public:
   /// Constructing with an invalid config (see ValidateConfig) aborts; call
   /// ValidateConfig first when the config comes from user input or a file.
@@ -112,43 +118,15 @@ class IvfPqIndex : public Index {
   /// rank the ADC stage by dot-product tables (quant/scann_index.h).
   static Status ValidateConfig(const IvfConfig& config);
 
-  size_t dim() const override { return index_->dim(); }
-  size_t size() const override { return index_->size(); }
-  Metric metric() const override { return config_.metric; }
   IndexType type() const override { return IndexType::kIvfPq; }
-  MatrixView base_view() const override { return index_->base(); }
 
-  /// Planner cost input: the inner ScannIndex's balanced-list estimate.
-  /// (Query planning itself also happens in the inner index, whose
-  /// SearchBatch this class delegates to.)
-  size_t EstimateCandidates(size_t budget) const override {
-    return index_->EstimateCandidates(budget);
-  }
-
-  /// k-NN search probing the `options.budget` (= nprobe) best lists; an
-  /// options.filter drops disallowed rows before the ADC scan, so filtered
-  /// rows never consume rerank budget. `options.num_threads` caps the
-  /// per-query search sharding (0 = pool default, 1 = serial; coarse scoring
-  /// still uses the pool's GEMM); results are identical at every setting.
-  using Index::SearchBatch;
-  BatchSearchResult SearchBatch(const SearchRequest& request) const override;
-
-  /// Radius search over the probed lists. Delegates to the inner ScannIndex,
-  /// which skips the ADC stage entirely for range queries (every gathered
-  /// candidate is exact-scored — the radius cut needs true distances), so
-  /// the result matches the flat types bit for bit at full budget.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
-    return index_->RadiusSearchBatch(request);
-  }
-
-  const KMeansPartitioner& coarse_quantizer() const { return *coarse_; }
-  const ScannIndex& scann() const { return *index_; }
-  const IvfConfig& config() const { return config_; }
+  const KMeansPartitioner& coarse_quantizer() const { return coarse_; }
+  const ScannIndex& scann() const { return *this; }
+  const IvfConfig& config() const { return ivf_config_; }
 
  private:
-  IvfConfig config_;
-  std::unique_ptr<KMeansPartitioner> coarse_;
-  std::unique_ptr<ScannIndex> index_;
+  IvfPqIndex(const Matrix* base, const IvfConfig& config,
+             ivf_internal::CoarseTraining coarse);
 };
 
 }  // namespace usp

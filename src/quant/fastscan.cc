@@ -13,6 +13,21 @@ size_t PackedCodesBytes(size_t n, size_t m) {
   return blocks * 16 * m;
 }
 
+std::vector<size_t> PackedGroupOffsets(const std::vector<uint32_t>& assignments,
+                                       size_t num_bins, size_t n) {
+  std::vector<size_t> sizes = {n};
+  if (!assignments.empty()) {
+    sizes.assign(num_bins, 0);
+    for (uint32_t bin : assignments) ++sizes[bin];
+  }
+  std::vector<size_t> offsets = {0};
+  for (size_t size : sizes) {
+    offsets.push_back(offsets.back() +
+                      (size + kPq4BlockSize - 1) / kPq4BlockSize);
+  }
+  return offsets;
+}
+
 namespace {
 
 // Writes the m codes of vector `code_row` into packed slot `slot`.

@@ -52,6 +52,15 @@ struct PackedCodes {
 /// Number of packed bytes a group of `n` vectors occupies at `m` subspaces.
 size_t PackedCodesBytes(size_t n, size_t m);
 
+/// The bucket-grouped block layout of an index's packed codes: the members
+/// of each bin pack into ceil(size / 32) blocks of their own, bins in order,
+/// so a probe scans whole blocks. Returns the first block of every bin plus a
+/// trailing entry holding the total block count. Empty `assignments` (no
+/// partition) means one group of all `n` rows. Every bin id must be below
+/// `num_bins`.
+std::vector<size_t> PackedGroupOffsets(const std::vector<uint32_t>& assignments,
+                                       size_t num_bins, size_t n);
+
 /// Packs (n x m) one-byte-per-subspace codes (each < 16) into the fast-scan
 /// block layout. Pad slots encode code 0.
 PackedCodes PackCodes4(const uint8_t* codes, size_t n, size_t m);

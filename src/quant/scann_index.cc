@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <numeric>
 
 #include "dist/quant_kernels.h"
@@ -20,11 +19,10 @@ ScannIndex::ScannIndex(const Matrix* base, const BinScorer* partitioner,
                        const std::vector<uint32_t>* assignments)
     : base_(*base),
       partitioner_(partitioner),
-      metric_(metric),
       dist_(MatrixView(*base), metric),
       quantizer_(std::move(quantizer)),
       config_(config) {
-  if (metric_ == Metric::kCosine) {
+  if (metric == Metric::kCosine) {
     // Codes approximate the unit sphere: ADC dot tables against a normalized
     // query then rank by approximate cosine similarity.
     Matrix normalized = base->Clone();
@@ -35,11 +33,10 @@ ScannIndex::ScannIndex(const Matrix* base, const BinScorer* partitioner,
   }
   codes_ = owned_codes_.data();
   if (partitioner_ != nullptr) {
-    if (assignments != nullptr) {
-      BuildBuckets(*assignments);
-    } else {
-      BuildBuckets(partitioner_->AssignBins(*base));
-    }
+    table_ = BinLookupTable(assignments != nullptr
+                                ? *assignments
+                                : partitioner_->AssignBins(*base),
+                            partitioner_->num_bins());
   }
   SetUpFastScan(nullptr);
 }
@@ -51,7 +48,6 @@ ScannIndex::ScannIndex(MatrixView base, const BinScorer* partitioner,
                        const uint8_t* packed)
     : base_(base),
       partitioner_(partitioner),
-      metric_(metric),
       dist_(base, metric),
       quantizer_(std::move(quantizer)),
       config_(config),
@@ -59,17 +55,9 @@ ScannIndex::ScannIndex(MatrixView base, const BinScorer* partitioner,
   USP_CHECK(codes_ != nullptr);
   if (partitioner_ != nullptr) {
     USP_CHECK(assignments.size() == base_.rows());
-    BuildBuckets(assignments);
+    table_ = BinLookupTable(assignments, partitioner_->num_bins());
   }
   SetUpFastScan(packed);
-}
-
-void ScannIndex::BuildBuckets(const std::vector<uint32_t>& assignments) {
-  buckets_.resize(partitioner_->num_bins());
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    USP_CHECK(assignments[i] < buckets_.size());
-    buckets_[assignments[i]].push_back(static_cast<uint32_t>(i));
-  }
 }
 
 void ScannIndex::SetUpFastScan(const uint8_t* packed) {
@@ -80,22 +68,8 @@ void ScannIndex::SetUpFastScan(const uint8_t* packed) {
     return;
   }
   const size_t m = quantizer_.num_subspaces();
-  // Per-bucket block offsets: each bucket's members pack contiguously so a
-  // probe scans whole blocks (one implicit all-rows bucket without a
-  // partition).
-  bucket_block_offsets_.clear();
-  if (partitioner_ == nullptr) {
-    bucket_block_offsets_ = {
-        0, (base_.rows() + kPq4BlockSize - 1) / kPq4BlockSize};
-  } else {
-    bucket_block_offsets_.reserve(buckets_.size() + 1);
-    size_t off = 0;
-    for (const auto& bucket : buckets_) {
-      bucket_block_offsets_.push_back(off);
-      off += (bucket.size() + kPq4BlockSize - 1) / kPq4BlockSize;
-    }
-    bucket_block_offsets_.push_back(off);
-  }
+  bucket_block_offsets_ =
+      PackedGroupOffsets(table_.assignments(), table_.num_bins(), base_.rows());
   if (packed != nullptr) {
     packed_ = packed;  // external (mmap'd) blocks; loader validated the size
     return;
@@ -105,9 +79,10 @@ void ScannIndex::SetUpFastScan(const uint8_t* packed) {
     PackedCodes pc = PackCodes4(codes_, base_.rows(), m);
     owned_packed_ = std::move(pc.data);
   } else {
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-      if (buckets_[b].empty()) continue;
-      PackedCodes pc = PackCodes4(codes_, buckets_[b], m);
+    const auto& buckets = table_.buckets();
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      if (buckets[b].empty()) continue;
+      PackedCodes pc = PackCodes4(codes_, buckets[b], m);
       std::memcpy(owned_packed_.data() + bucket_block_offsets_[b] * 16 * m,
                   pc.data.data(), pc.data.size());
     }
@@ -120,27 +95,9 @@ size_t ScannIndex::PackedBytes() const {
   return bucket_block_offsets_.back() * 16 * quantizer_.num_subspaces();
 }
 
-std::vector<uint32_t> ScannIndex::Assignments() const {
-  std::vector<uint32_t> assignments;
-  if (buckets_.empty()) return assignments;
-  assignments.resize(base_.rows());
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    for (uint32_t id : buckets_[b]) {
-      assignments[id] = static_cast<uint32_t>(b);
-    }
-  }
-  return assignments;
-}
-
-size_t ScannIndex::EstimateCandidates(size_t budget) const {
-  if (buckets_.empty()) return size();
-  const size_t probes = std::min(std::max<size_t>(budget, 1), buckets_.size());
-  return (size() * probes + buckets_.size() - 1) / buckets_.size();
-}
-
 std::vector<float> ScannIndex::BuildMetricTable(
     const float* prepared_query) const {
-  if (metric_ == Metric::kSquaredL2) {
+  if (dist_.metric() == Metric::kSquaredL2) {
     return quantizer_.BuildAdcTable(prepared_query);
   }
   // IP/cosine minimize the negated dot-product sum; the exact rerank restores
@@ -186,26 +143,18 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
 
       // Probed-bucket order (shared by both ADC modes).
-      size_t probes = 0;
-      if (partitioner_ != nullptr) {
-        probes = std::min(options.budget, buckets_.size());
-        const float* s = scores.Row(q);
-        order.resize(buckets_.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::partial_sort(order.begin(), order.begin() + probes, order.end(),
-                          [&](uint32_t a, uint32_t b) {
-                            if (s[a] != s[b]) return s[a] > s[b];
-                            return a < b;
-                          });
-      }
+      const size_t probes =
+          partitioner_ != nullptr
+              ? table_.RankProbes(scores.Row(q), options.budget, &order)
+              : 0;
 
       TopK approx(std::max(k, config_.rerank_budget));
-      size_t scored = 0;
+      size_t scored = 0, dropped = 0;
+      const std::vector<float> table = BuildMetricTable(prepared);
 
       if (fast_scan) {
         // Quantize the per-query float table once, then score whole packed
         // buckets through the pq4 shuffle kernel.
-        const std::vector<float> table = BuildMetricTable(prepared);
         const QuantizedLut qlut = QuantizeAdcTable(table.data(), m_sub,
                                                    quantizer_.codebook_size());
         const auto scan_group = [&](size_t first_block, const uint32_t* ids,
@@ -224,33 +173,23 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
           scan_group(0, nullptr, base_.rows());
         } else {
           for (size_t p = 0; p < probes; ++p) {
-            const auto& bucket = buckets_[order[p]];
+            const auto& bucket = table_.buckets()[order[p]];
             if (bucket.empty()) continue;
             scan_group(bucket_block_offsets_[order[p]], bucket.data(),
                        bucket.size());
           }
         }
-        result.candidate_counts[q] = static_cast<uint32_t>(scored);
-        if (result.stats) {
-          result.stats->candidates_scored[q] = static_cast<uint32_t>(scored);
-          result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        }
       } else {
         // Float path: candidate generation, selector pushdown, per-code walk.
-        candidates.clear();
         if (partitioner_ == nullptr) {
           candidates.resize(base_.rows());
           std::iota(candidates.begin(), candidates.end(), 0u);
         } else {
-          for (size_t p = 0; p < probes; ++p) {
-            const auto& bucket = buckets_[order[p]];
-            candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-          }
+          table_.Gather(order, probes, &candidates);
         }
 
         // Selector pushdown ahead of the ADC stage: disallowed rows cost no
         // table lookups and cannot crowd allowed rows out of the shortlist.
-        size_t dropped = 0;
         if (options.filter != nullptr) {
           const size_t before = candidates.size();
           candidates.erase(
@@ -261,18 +200,17 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
               candidates.end());
           dropped = before - candidates.size();
         }
-        result.candidate_counts[q] = static_cast<uint32_t>(candidates.size());
-        if (result.stats) {
-          result.stats->candidates_scored[q] =
-              static_cast<uint32_t>(candidates.size());
-          result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result.stats->filtered_out[q] = static_cast<uint32_t>(dropped);
-        }
-
-        const std::vector<float> table = BuildMetricTable(prepared);
+        scored = candidates.size();
         for (uint32_t id : candidates) {
           approx.Push(quantizer_.AdcDistance(table, codes_ + id * m_sub), id);
         }
+      }
+
+      result.candidate_counts[q] = static_cast<uint32_t>(scored);
+      if (result.stats) {
+        result.stats->candidates_scored[q] = static_cast<uint32_t>(scored);
+        result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
+        result.stats->filtered_out[q] = static_cast<uint32_t>(dropped);
       }
 
       auto top_approx = approx.TakeSorted();
@@ -289,49 +227,19 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 }
 
 RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
-  const MatrixView queries = request.queries;
   Matrix scores;
   if (partitioner_ != nullptr) {
-    scores = partitioner_->ScoreBins(queries);
+    scores = partitioner_->ScoreBins(request.queries);
   }
-  const size_t probes =
-      partitioner_ == nullptr
-          ? 0
-          : std::min(request.options.budget, buckets_.size());
-
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates;
-        if (partitioner_ == nullptr) {
-          candidates.resize(base_.rows());
-          std::iota(candidates.begin(), candidates.end(), 0u);
-        } else {
-          // Same probe order as SearchBatch: bins by descending score,
-          // ties by bin id.
-          const float* s = scores.Row(q);
-          std::vector<uint32_t> order(buckets_.size());
-          std::iota(order.begin(), order.end(), 0u);
-          std::partial_sort(order.begin(), order.begin() + probes, order.end(),
-                            [&](uint32_t a, uint32_t b) {
-                              if (s[a] != s[b]) return s[a] > s[b];
-                              return a < b;
-                            });
-          for (size_t p = 0; p < probes; ++p) {
-            const auto& bucket = buckets_[order[p]];
-            candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-          }
+  return RangeFilterGathered(
+      request, dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
+        if (partitioner_ != nullptr) {
+          return table_.Collect(scores.Row(q), request.options.budget,
+                                candidates);
         }
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(dist_, queries.Row(q), &candidates,
-                                          request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
+        candidates->resize(base_.rows());
+        std::iota(candidates->begin(), candidates->end(), 0u);
+        return size_t{0};
       });
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/bin_lookup.h"
 #include "core/bin_scorer.h"
 #include "core/partition_index.h"
 #include "dist/distance_computer.h"
@@ -90,13 +91,15 @@ class ScannIndex : public Index {
 
   size_t dim() const override { return base_.cols(); }
   size_t size() const override { return base_.rows(); }
-  Metric metric() const override { return metric_; }
+  Metric metric() const override { return dist_.metric(); }
   IndexType type() const override { return IndexType::kScann; }
   MatrixView base_view() const override { return base_; }
 
   /// Planner cost input (index/query_planner.h): balanced-bin ADC candidate
   /// volume; the whole base for a partition-free exhaustive scan.
-  size_t EstimateCandidates(size_t budget) const override;
+  size_t EstimateCandidates(size_t budget) const override {
+    return has_partition() ? table_.EstimateCandidates(budget) : size();
+  }
 
   const ProductQuantizer& quantizer() const { return quantizer_; }
   bool has_partition() const { return partitioner_ != nullptr; }
@@ -110,18 +113,14 @@ class ScannIndex : public Index {
   MatrixView base() const { return base_; }
   const BinScorer* partitioner() const { return partitioner_; }
   const uint8_t* codes() const { return codes_; }
-  const std::vector<std::vector<uint32_t>>& buckets() const { return buckets_; }
+  /// Residency lookup table; no bins when the index has no partition.
+  const BinLookupTable& table() const { return table_; }
   /// Bucket-grouped fast-scan blocks (nullptr when has_fast_scan() is
   /// false); PackedBytes() is their size.
   const uint8_t* packed_codes() const { return packed_; }
   size_t PackedBytes() const;
 
-  /// Flattened residency assignments (inverse of `buckets`); empty when the
-  /// index has no partition.
-  std::vector<uint32_t> Assignments() const;
-
  private:
-  void BuildBuckets(const std::vector<uint32_t>& assignments);
   void SetUpFastScan(const uint8_t* packed);
   /// Float ADC table whose per-code sum ranks candidates under the index
   /// metric: squared-L2 subdistances for L2, negated dot products for
@@ -130,13 +129,12 @@ class ScannIndex : public Index {
 
   MatrixView base_;
   const BinScorer* partitioner_;
-  Metric metric_;
-  DistanceComputer dist_;  ///< exact rerank under metric_
+  DistanceComputer dist_;  ///< exact rerank under the index metric
   ProductQuantizer quantizer_;
   ScannIndexConfig config_;
   std::vector<uint8_t> owned_codes_;  ///< empty when codes are external
   const uint8_t* codes_ = nullptr;    ///< (n x M) PQ codes
-  std::vector<std::vector<uint32_t>> buckets_;  ///< empty when no partition
+  BinLookupTable table_;              ///< no bins when no partition
   std::vector<uint8_t> owned_packed_;  ///< empty when packed is external
   const uint8_t* packed_ = nullptr;    ///< fast-scan blocks; null = float only
   /// Per bucket, the first block of its packed group (one trailing entry

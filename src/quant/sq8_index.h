@@ -35,6 +35,23 @@ struct Sq8IndexConfig {
   size_t rerank_budget = 100;
 };
 
+/// The SQ8 codec, shared by Sq8Index and the out-of-core builder so a
+/// streamed build encodes bit for bit like an in-memory one. The range fit
+/// accumulates per-dimension min/max over any number of row chunks (the
+/// first row seeds both), so chunked and one-shot fits agree exactly.
+struct Sq8RangeFit {
+  std::vector<float> mins, maxs;  ///< empty until the first row is added
+
+  void Add(MatrixView rows);
+  /// Per-dimension step (max - min) / 255 (0 for a flat dimension).
+  std::vector<float> Scales() const;
+};
+
+/// Quantizes one d-dim vector to round((x - min) / scale), clamped to
+/// [0, 255]; a dimension with scale 0 encodes as 0.
+void EncodeSq8(const float* x, const float* mins, const float* scales,
+               size_t d, uint8_t* out);
+
 /// Immutable int8 scalar-quantized index. The base matrix must outlive the
 /// index (exact rerank gathers fp32 rows from it).
 class Sq8Index : public Index {
@@ -91,8 +108,6 @@ class Sq8Index : public Index {
   void DecodeVector(const uint8_t* code, float* out) const;
 
  private:
-  void TrainRanges(MatrixView rows);
-
   MatrixView base_;
   Sq8IndexConfig config_;
   DistanceComputer dist_;  ///< exact rerank under config_.metric

@@ -1,7 +1,6 @@
 #include "serve/out_of_core_builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -229,52 +228,6 @@ Status ForEachAssignedChunk(ChunkStream* base, const IvfModel& model,
   return Status::Ok();
 }
 
-/// Streaming min/max range fit with Sq8Index::TrainRanges' arithmetic.
-struct Sq8Ranges {
-  std::vector<float> mins, maxs, scales;
-  bool initialized = false;
-
-  void Accumulate(MatrixView chunk) {
-    const size_t d = chunk.cols();
-    size_t first = 0;
-    if (!initialized && chunk.rows() > 0) {
-      mins.assign(chunk.Row(0), chunk.Row(0) + d);
-      maxs = mins;
-      initialized = true;
-      first = 1;
-    }
-    for (size_t i = first; i < chunk.rows(); ++i) {
-      const float* row = chunk.Row(i);
-      for (size_t j = 0; j < d; ++j) {
-        mins[j] = std::min(mins[j], row[j]);
-        maxs[j] = std::max(maxs[j], row[j]);
-      }
-    }
-  }
-
-  void FinishScales() {
-    scales.resize(mins.size());
-    for (size_t j = 0; j < mins.size(); ++j) {
-      scales[j] = (maxs[j] - mins[j]) / 255.0f;
-    }
-  }
-};
-
-// Sq8Index::EncodeVector's exact arithmetic — the streamed codes must match
-// the in-memory encoder bit for bit.
-void EncodeSq8Row(const Sq8Ranges& ranges, const float* x, size_t d,
-                  uint8_t* out) {
-  for (size_t j = 0; j < d; ++j) {
-    if (ranges.scales[j] <= 0.0f) {
-      out[j] = 0;
-      continue;
-    }
-    const long code = std::lround((x[j] - ranges.mins[j]) / ranges.scales[j]);
-    out[j] =
-        static_cast<uint8_t>(std::min<long>(std::max<long>(code, 0), 255));
-  }
-}
-
 /// Relays an entire temp file into the current container section.
 Status RelayFile(const std::string& path, StreamingContainerWriter* writer) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -447,7 +400,7 @@ StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
   // (over unit-normalized copies under cosine, like the in-memory trainer).
   status = base->Reset();
   if (!status.ok()) return status;
-  Sq8Ranges ranges;
+  Sq8RangeFit ranges;
   size_t chunks = 0;
   for (;;) {
     StatusOr<MatrixView> chunk_or = base->NextChunk(config.chunk_rows);
@@ -460,18 +413,18 @@ StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
     if (cosine) {
       Matrix normalized = chunk.Clone();
       NormalizeRows(&normalized);
-      ranges.Accumulate(normalized);
+      ranges.Add(normalized);
     } else {
-      ranges.Accumulate(chunk);
+      ranges.Add(chunk);
     }
   }
-  if (!ranges.initialized) {
+  if (ranges.mins.empty()) {
     return Status::InvalidArgument("cannot build an SQ8 index from 0 rows");
   }
-  ranges.FinishScales();
+  const std::vector<float> scales = ranges.Scales();
   status = writer.Append(ranges.mins.data(), d * sizeof(float));
   if (!status.ok()) return status;
-  status = writer.Append(ranges.scales.data(), d * sizeof(float));
+  status = writer.Append(scales.data(), d * sizeof(float));
   if (!status.ok()) return status;
 
   // Pass 2: re-stream and encode.
@@ -491,7 +444,8 @@ StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
     }
     codes.resize(chunk.size());
     for (size_t i = 0; i < chunk.rows(); ++i) {
-      EncodeSq8Row(ranges, chunk.Row(i), d, codes.data() + i * d);
+      EncodeSq8(chunk.Row(i), ranges.mins.data(), scales.data(), d,
+                codes.data() + i * d);
     }
     status = writer.Append(codes.data(), chunk.size());
     if (!status.ok()) return status;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -289,6 +290,13 @@ struct TreeCase {
   const char* name;
   bool needs_knn;
 };
+
+// Without a printer GoogleTest lists the parameter as raw bytes (a string
+// pointer plus padding), so the discovered test name would change from run
+// to run under address-space randomisation.
+void PrintTo(const TreeCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class PartitionTreeTest : public ::testing::TestWithParam<TreeCase> {
  protected:

@@ -347,6 +347,59 @@ TEST(QueryPlannerTest, ModerateSelectivityKeepsPushdownOnPartition) {
   EXPECT_LT(decision.cost_pushdown, decision.cost_allowed_scan);
 }
 
+// Post-filter wins when the selector admits almost everything and the
+// over-fetch window is small next to the probed volume: s = 0.99, n = 10k,
+// k = 10, 8 of 64 bins gives E = 1250, pushdown 1250 * (0.05 + 0.99) = 1300
+// and post-filter 1250 + 21 * 0.05 = 1251.05.
+TEST(QueryPlannerTest, NearFullSelectivityRoutesPartitionToPostFilter) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kGaussian;
+  spec.num_base = 10000;
+  spec.num_queries = 20;
+  spec.gt_k = 10;
+  spec.knn_k = 1;
+  spec.seed = 178;
+  const Workload w = MakeWorkload(spec);
+  KMeansConfig km;
+  km.num_clusters = 64;
+  km.seed = 28;
+  const KMeansPartitioner kmeans(w.base, km);
+  const PartitionIndex index(&w.base, &kmeans);
+
+  // A counting deny-list of every 100th id: exactly 9900 of 10000 allowed.
+  std::vector<uint32_t> denied;
+  for (uint32_t id = 0; id < 10000; id += 100) denied.push_back(id);
+  const IdSelectorArray deny_list(denied);
+  const IdSelectorNot filter(&deny_list);
+
+  SearchRequest request;
+  request.queries = w.queries;
+  request.options.k = 10;
+  request.options.budget = 8;
+  request.options.filter = &filter;
+  const PlanDecision decision = PlanFilteredSearch(index, request.options);
+  EXPECT_EQ(decision.strategy, PlanStrategy::kPostFilter);
+  EXPECT_TRUE(decision.allowed_exact);
+  EXPECT_EQ(decision.allowed_count, 9900u);
+  EXPECT_DOUBLE_EQ(decision.cost_pushdown, 1250.0 * (0.05 + 0.99));
+  EXPECT_DOUBLE_EQ(decision.cost_post_filter, 1250.0 + 21 * 0.05);
+  EXPECT_DOUBLE_EQ(decision.cost_allowed_scan, 9900.0);
+
+  // kAuto really runs the post-filter path: identical to forcing it.
+  const BatchSearchResult planned = index.SearchBatch(request);
+  request.options.plan = PlanMode::kForcePostFilter;
+  const BatchSearchResult forced = index.SearchBatch(request);
+  EXPECT_EQ(planned.ids, forced.ids);
+  EXPECT_EQ(planned.distances, forced.distances);
+
+  // At full budget the post-filter result is filtered brute force.
+  request.options.budget = kFullBudget;
+  const KnnResult truth =
+      BruteForceKnn(w.base, w.queries, 10, Metric::kSquaredL2, &filter);
+  ExpectBitIdentical(index.SearchBatch(request), truth, w.queries.rows(),
+                     "partition/post-filter");
+}
+
 TEST(QueryPlannerTest, ForcedAllowedScanFallsBackToPushdownWithoutBaseView) {
   const PlannerIndexes& all = Indexes();
   ASSERT_EQ(all.dynamic.base_view().data(), nullptr);
