@@ -129,8 +129,10 @@ int main() {
               TotalHits(user_rows), mine.count());
 
   // The full-budget filtered rows are bit-identical to filtered brute force.
+  usp::RadiusOptions mine_only;
+  mine_only.filter = &mine;
   const usp::RadiusResult reference = usp::BruteForceRadius(
-      collection, collection, radius, usp::Metric::kSquaredL2, &mine);
+      collection, collection, radius, usp::Metric::kSquaredL2, mine_only);
   const bool identical = user_rows.offsets == reference.offsets &&
                          user_rows.ids == reference.ids &&
                          user_rows.distances == reference.distances;

@@ -5,6 +5,7 @@
 #define USP_HNSW_HNSW_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/partition_index.h"
@@ -34,10 +35,6 @@ class HnswIndex : public Index {
 
   /// Inserts all base points (sequentially; deterministic given the seed).
   void Build(const Matrix& base);
-
-  /// Single-query search with beam width `budget` (= ef_search, >= k).
-  std::vector<uint32_t> Search(const float* query, size_t k,
-                               size_t budget) const override;
 
   /// Batch search with beam width `options.budget` (= ef_search).
   /// `candidate_counts` reports the number of distance evaluations per query,
@@ -101,32 +98,29 @@ class HnswIndex : public Index {
   uint32_t entry_point() const { return entry_point_; }
 
  private:
-  // Best-first search on one layer from `entry`; returns up to `ef` closest
-  // *allowed* (distance, id) pairs. `filter` (optional) applies the
-  // visit-but-don't-return semantics above; disallowed nodes still steer the
-  // frontier. `stats` (optional) accumulates traversal counters.
-  struct Scored {
-    float distance;
-    uint32_t id;
-  };
   struct LayerStats {
     size_t evaluations = 0;   ///< distance computations
     size_t visited = 0;       ///< distinct nodes marked visited
     size_t filtered_out = 0;  ///< visited nodes the selector excluded
   };
-  std::vector<Scored> SearchLayer(const float* query, uint32_t entry,
-                                  size_t ef, int level,
-                                  const IdSelector* filter,
-                                  LayerStats* stats) const;
-  // Radius variant of SearchLayer on the base layer: returns every *allowed*
-  // visited node with distance <= radius (unsorted). The beam keeps the
-  // ef-bounded expansion of SearchLayer; in-range nodes additionally always
-  // enter the frontier and override the termination bound, so a full-budget
-  // call degenerates to a component traversal.
-  std::vector<Scored> RadiusLayer(const float* query, uint32_t entry,
-                                  size_t ef, float radius,
-                                  const IdSelector* filter,
-                                  LayerStats* stats) const;
+  // Greedy descent from the entry point through every layer above `floor`;
+  // returns the closest node found, the entry of the next layer down.
+  // `evals` accumulates the distance computations.
+  uint32_t Descend(const float* query, int floor, size_t* evals) const;
+  // Best-first search on one layer from `entry`; returns up to `ef` closest
+  // *allowed* (distance, id) pairs. `filter` (optional) applies the
+  // visit-but-don't-return semantics above; disallowed nodes still steer the
+  // frontier. `stats` (optional) accumulates traversal counters. With
+  // `in_range` set, every allowed visited node with distance <= `radius` is
+  // appended to it (unsorted) and nothing is returned; in-range nodes always
+  // enter the frontier and hold off the stop, so a full-budget call becomes
+  // a component traversal. The default radius of -inf is the plain
+  // ef-bounded walk.
+  std::vector<Neighbor> SearchLayer(
+      const float* query, uint32_t entry, size_t ef, int level,
+      const IdSelector* filter, LayerStats* stats,
+      float radius = -std::numeric_limits<float>::infinity(),
+      std::vector<Neighbor>* in_range = nullptr) const;
   std::vector<uint32_t>& LinksAt(uint32_t node, int level) {
     return links_[node][level];
   }

@@ -81,7 +81,7 @@ RadiusResult Index::RadiusSearchBatch(const RadiusRequest& request) const {
   const MatrixView base = base_view();
   USP_CHECK(base.data() != nullptr && base.rows() == size());
   return BruteForceRadius(base, request.queries, request.radius, metric(),
-                          request.options.filter, request.options.num_threads);
+                          request.options);
 }
 
 std::vector<uint32_t> Index::Search(const float* query, size_t k,

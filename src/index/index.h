@@ -198,8 +198,9 @@ class Index {
   /// base_view() restricted to the filter, including through Dynamic/Sharded
   /// fan-out with tombstones (tests/radius_search_test.cc); lower budgets
   /// trade recall for probing cost exactly as in k-NN search. The base
-  /// implementation brute-forces base_view() and requires a non-empty view;
-  /// every shipped index type overrides it with its native traversal.
+  /// implementation brute-forces base_view() (BruteForceRadius, stats
+  /// included) and requires a non-empty view; Sq8Index uses it as is, the
+  /// other shipped types override it with their native traversal.
   virtual RadiusResult RadiusSearchBatch(const RadiusRequest& request) const;
 
   /// Positional convenience shim over the request form, mirroring
@@ -214,10 +215,10 @@ class Index {
   }
 
   /// Single-query convenience: returns up to k neighbor ids, ascending by
-  /// distance. The default wraps `query` in a 1-row MatrixView (zero-copy)
-  /// and routes through SearchBatch on the calling thread.
-  virtual std::vector<uint32_t> Search(const float* query, size_t k,
-                                       size_t budget) const;
+  /// distance. Wraps `query` in a 1-row MatrixView (zero-copy) and routes
+  /// through SearchBatch on the calling thread.
+  std::vector<uint32_t> Search(const float* query, size_t k,
+                               size_t budget) const;
 
   virtual size_t dim() const = 0;     ///< base vector dimensionality
   virtual size_t size() const = 0;    ///< number of indexed base vectors

@@ -561,10 +561,6 @@ class LoadedIndex : public Index {
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
     return bundle_->index->RadiusSearchBatch(request);
   }
-  std::vector<uint32_t> Search(const float* query, size_t k,
-                               size_t budget) const override {
-    return bundle_->index->Search(query, k, budget);
-  }
   size_t dim() const override { return bundle_->index->dim(); }
   size_t size() const override { return bundle_->index->size(); }
   Metric metric() const override { return bundle_->index->metric(); }

@@ -37,7 +37,9 @@ enum class LoadMode {
 /// implementations have no on-disk representation yet and are rejected with
 /// kInvalidArgument. A DynamicIndex (serve/dynamic_index.h) serializes as a
 /// manifest plus one embedded sub-container per sealed segment; saving takes
-/// a consistent snapshot, so it is safe while writers run.
+/// a consistent snapshot, so it is safe while writers run. The file at
+/// `path` is replaced atomically (util/io.h FileWriter): an index that has
+/// the old file mmap'd keeps serving it, and a failed save leaves it intact.
 Status SaveIndex(const Index& index, const std::string& path);
 
 /// Same, into any byte sink (`name` labels errors).

@@ -156,11 +156,12 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
 
 RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
                               float radius, Metric metric,
-                              const IdSelector* filter, size_t num_threads) {
+                              const RadiusOptions& options) {
   USP_CHECK(base.cols() == queries.cols());
   const size_t nq = queries.rows(), nb = base.rows();
 
   const DistanceComputer dist(base, metric);
+  const IdSelector* filter = options.filter;
   std::vector<uint32_t> allowed;
   if (filter != nullptr) {
     for (size_t b = 0; b < nb; ++b) {
@@ -171,9 +172,6 @@ RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
   const size_t scanned = filter == nullptr ? nb : allowed.size();
   const uint32_t dropped = static_cast<uint32_t>(nb - scanned);
 
-  RadiusOptions options;
-  options.num_threads = num_threads;
-  options.filter = filter;
   return CollectRadiusRows(
       nq, options, [&](size_t q, RadiusResult* result) {
         std::vector<float> scores(kBaseBlock);

@@ -68,12 +68,14 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
 /// through ScoreIds — the same per-row kernels as the index types' range
 /// filter — so bit-identity holds for offsets, ids, AND distances. (The L2
 /// norm-trick tiles of BruteForceKnn round differently and are deliberately
-/// not used here.) candidate_counts reports rows scored per query (the
-/// allowed count under a filter).
+/// not used here.) `options` supplies the filter, the thread cap and the
+/// stats switch; its budget is irrelevant, the scan is exhaustive.
+/// candidate_counts reports rows scored per query (the allowed count under a
+/// filter), and the stats block, when asked for, adds the rows the filter
+/// excluded as filtered_out.
 RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
                               float radius, Metric metric,
-                              const IdSelector* filter = nullptr,
-                              size_t num_threads = 0);
+                              const RadiusOptions& options = {});
 
 /// k'-NN matrix of the dataset against itself with self-matches excluded
 /// (row i never contains i). This is Fig. 2 of the paper.

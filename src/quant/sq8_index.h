@@ -76,11 +76,9 @@ class Sq8Index : public Index {
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Radius search: exact exhaustive scan of the fp32 base (the quantized
-  /// proxy stage is skipped — a range cut needs true distances, and the scan
-  /// is exhaustive either way), so the result is bit-identical to
-  /// BruteForceRadius at any budget, which is in fact how it is implemented.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
+  // Radius search is the Index default: BruteForceRadius over the fp32 base
+  // (a range cut needs true distances, so the quantized proxy stage has
+  // nothing to add), exact at any budget.
 
   size_t dim() const override { return base_.cols(); }
   size_t size() const override { return base_.rows(); }

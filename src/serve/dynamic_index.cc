@@ -1,11 +1,9 @@
 #include "serve/dynamic_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "index/query_planner.h"
-#include "ivf/ivf.h"
 #include "knn/brute_force.h"
 #include "quant/sq8_index.h"
 #include "util/thread_pool.h"
@@ -222,26 +220,6 @@ StatusOr<uint32_t> DynamicIndex::AddSealedSegmentFromContainer(
 // Maintenance.
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Index> DynamicIndex::BuildSegment(const Matrix& base) const {
-  std::unique_ptr<Index> index;
-  if (config_.segment_builder) {
-    index = config_.segment_builder(base, config_.metric);
-  } else {
-    IvfConfig ivf;
-    ivf.metric = config_.metric;
-    const size_t n = base.rows();
-    ivf.nlist = std::max<size_t>(
-        1, std::min(n, static_cast<size_t>(
-                           std::lround(std::sqrt(static_cast<double>(n))))));
-    index = std::make_unique<IvfFlatIndex>(&base, ivf);
-  }
-  USP_CHECK(index != nullptr);
-  USP_CHECK(index->dim() == dim_);
-  USP_CHECK(index->metric() == config_.metric);
-  USP_CHECK(index->size() == base.rows());
-  return index;
-}
-
 void DynamicIndex::Seal() {
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
 
@@ -269,7 +247,8 @@ void DynamicIndex::Seal() {
 
   // Train outside every lock: reads and writes continue against the old
   // segment set, which still serves the snapshotted rows.
-  seg->index = BuildSegment(seg->storage);
+  seg->index = RunSegmentBuilder(config_.segment_builder, seg->storage,
+                                 config_.metric);
 
   bool schedule_compact = false;
   {
@@ -350,7 +329,9 @@ void DynamicIndex::Compact() {
     merged->storage =
         Matrix(merged_ids.size(), dim_, std::move(merged_data));
     merged->global_ids = std::move(merged_ids);
-    merged->index = BuildSegment(merged->storage);  // trains outside locks
+    // Trains outside every lock, as in Seal.
+    merged->index = RunSegmentBuilder(config_.segment_builder, merged->storage,
+                                      config_.metric);
   }
 
   {
@@ -419,31 +400,57 @@ void DynamicIndex::WaitForMaintenance() const {
 // Search.
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Lazy segment-local view of the caller's global selector composed with the
-/// tombstone set: local row i is allowed iff its global id passes the filter
-/// AND is live. Membership is evaluated per candidate the segment actually
-/// visits — O(candidates) instead of an O(segment) eager bitmap translation
-/// per query — and reads global_ids/tombstones safely because the search
-/// holds the index lock shared for the whole fan-out.
-class LocalSelector final : public IdSelector {
- public:
-  LocalSelector(const IdSelector* global,
-                const std::vector<uint32_t>& global_ids,
-                const std::unordered_set<uint32_t>& tombstones)
-      : global_(global), global_ids_(global_ids), tombstones_(tombstones) {}
-
-  bool is_member(uint32_t local) const override {
-    const uint32_t gid = global_ids_[local];
-    return global_->is_member(gid) && tombstones_.count(gid) == 0;
+BatchSearchResult DynamicIndex::ScanWriteSegment(
+    MatrixView queries, const SearchOptions& options) const {
+  const size_t rows = write_ids_.size();
+  const MatrixView view(write_data_.data(), rows, dim_);
+  KnnResult hits;
+  size_t scored = rows;
+  if (options.filter == nullptr) {
+    // The L2 norm-trick scan, over-fetching by the write segment's own
+    // tombstone count like a sealed segment.
+    hits = BruteForceKnn(view, queries,
+                         std::min(rows, options.k + write_tombstoned_),
+                         config_.metric, options.num_threads);
+  } else {
+    const PartSelector live(options.filter, write_ids_, &tombstones_);
+    IdSelectorBitmap allowed(rows);
+    scored = 0;
+    for (uint32_t i = 0; i < rows; ++i) {
+      if (live.is_member(i)) {
+        allowed.Set(i);
+        ++scored;
+      }
+    }
+    if (scored > 0) {
+      hits = BruteForceKnn(view, queries, std::min(rows, options.k),
+                           config_.metric, &allowed, options.num_threads);
+    }
   }
+  BatchSearchResult part;
+  part.k = hits.k;
+  part.ids = std::move(hits.indices);
+  part.distances = std::move(hits.distances);
+  part.candidate_counts.assign(queries.rows(),
+                               static_cast<uint32_t>(scored));
+  if (options.stats) {
+    part.stats.emplace();
+    part.stats->Allocate(queries.rows());
+    part.stats->filtered_out.assign(queries.rows(),
+                                    static_cast<uint32_t>(rows - scored));
+  }
+  return part;
+}
 
- private:
-  const IdSelector* global_;
-  const std::vector<uint32_t>& global_ids_;
-  const std::unordered_set<uint32_t>& tombstones_;
-};
-}  // namespace
+RadiusResult DynamicIndex::ScanWriteSegment(
+    const RadiusRequest& request) const {
+  const MatrixView view(write_data_.data(), write_ids_.size(), dim_);
+  const PartSelector live(request.options.filter, write_ids_, &tombstones_);
+  RadiusOptions scan = request.options;
+  if (scan.filter != nullptr) scan.filter = &live;
+  return BruteForceRadius(view, request.queries, request.radius,
+                          config_.metric, scan);
+}
 
 BatchSearchResult DynamicIndex::SearchBatch(const SearchRequest& request) const {
   // Planner hook. With no base_view to scan, the top level only ever chooses
@@ -456,253 +463,64 @@ BatchSearchResult DynamicIndex::SearchBatch(const SearchRequest& request) const 
   const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
   const IdSelector* filter = options.filter;
-  const size_t k = options.k;
   USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
   BatchSearchResult result;
-  result.Prepare(nq, options);
-  if (nq == 0 || k == 0) return result;
+  result.Prepare(queries.rows(), options);
+  if (queries.rows() == 0 || options.k == 0) return result;
 
   // The lock is held shared across the whole fan-out + merge: segments and
   // the write buffer cannot change under us; appends briefly queue behind the
   // batch.
   std::shared_lock<std::shared_mutex> lock(mutex_);
 
-  struct SegmentHits {
-    BatchSearchResult batch;
-    const std::vector<uint32_t>* global_ids;
-  };
-  std::vector<SegmentHits> per_segment;
-  per_segment.reserve(sealed_.size());
-
+  std::vector<PartResult<BatchSearchResult>> parts;
+  parts.reserve(sealed_.size() + 1);
   for (const auto& seg : sealed_) {
-    SearchRequest sub;
-    sub.queries = queries;
-    sub.options = options;
-    if (filter == nullptr) {
-      // Over-fetch per segment by its own tombstone count, so every
-      // tombstoned hit can be dropped at the merge without surfacing fewer
-      // than k live neighbors while deeper live ones exist in the segment.
-      const size_t fetch = std::min(seg->index->size(), k + seg->tombstoned);
-      if (fetch == 0) continue;
-      sub.options.k = fetch;
-      per_segment.push_back({seg->index->SearchBatch(sub), &seg->global_ids});
-    } else {
-      // Tombstones ride inside the pushed-down selector, so the segment
-      // returns only mergeable hits and no over-fetch is needed. The local
-      // view is only consulted during this synchronous sub-search.
-      const LocalSelector local(filter, seg->global_ids, tombstones_);
-      sub.options.k = std::min(seg->index->size(), k);
-      sub.options.filter = &local;
-      per_segment.push_back({seg->index->SearchBatch(sub), &seg->global_ids});
-    }
+    SearchRequest sub = request;
+    // Unfiltered, each segment over-fetches by its own tombstone count, so
+    // every tombstoned hit can be dropped at the merge without surfacing
+    // fewer than k live neighbors while deeper live ones exist. Filtered,
+    // tombstones ride inside the pushed-down selector, so the segment
+    // returns only mergeable hits. The local view is only consulted during
+    // this synchronous sub-search.
+    const size_t extra = filter == nullptr ? seg->tombstoned : 0;
+    sub.options.k = std::min(seg->index->size(), options.k + extra);
+    const PartSelector local(filter, seg->global_ids, &tombstones_);
+    if (filter != nullptr) sub.options.filter = &local;
+    parts.push_back({seg->index->SearchBatch(sub), &seg->global_ids});
   }
-
-  const size_t write_rows = write_ids_.size();
-  KnnResult write_hits;
-  size_t write_scored = 0;    // post-filter rows the write scan may return
-  size_t write_filtered = 0;  // write rows the selector/tombstones excluded
-  std::unique_ptr<IdSelectorBitmap> write_filter;
-  if (write_rows > 0 && filter != nullptr) {
-    write_filter = std::make_unique<IdSelectorBitmap>(write_rows);
-    for (size_t i = 0; i < write_rows; ++i) {
-      const uint32_t gid = write_ids_[i];
-      if (filter->is_member(gid) && tombstones_.count(gid) == 0) {
-        write_filter->Set(static_cast<uint32_t>(i));
-        ++write_scored;
-      }
-    }
-    write_filtered = write_rows - write_scored;
+  if (!write_ids_.empty()) {
+    parts.push_back({ScanWriteSegment(queries, options), &write_ids_});
   }
-  if (write_rows > 0 && filter == nullptr) {
-    write_scored = write_rows;  // the write segment is scanned exactly
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    write_hits = BruteForceKnn(write_view, queries,
-                               std::min(write_rows, k + write_tombstoned_),
-                               config_.metric, options.num_threads);
-  } else if (write_scored > 0) {
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    write_hits = BruteForceKnn(write_view, queries, std::min(write_rows, k),
-                               config_.metric, write_filter.get(),
-                               options.num_threads);
-  }
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    for (size_t q = begin; q < end; ++q) {
-      TopK heap(k);
-      size_t candidates = 0;
-      size_t merge_dropped = 0;  // unfiltered path: tombstoned hits dropped
-      for (const SegmentHits& hits : per_segment) {
-        const BatchSearchResult& batch = hits.batch;
-        candidates += batch.candidate_counts[q];
-        const uint32_t* ids = batch.Row(q);
-        const float* dists = batch.DistanceRow(q);
-        for (size_t j = 0; j < batch.k; ++j) {
-          if (ids[j] == kInvalidId) break;  // padding: no more hits
-          const uint32_t gid = (*hits.global_ids)[ids[j]];
-          // Filtered hits are pre-screened by the local selector; the
-          // tombstone check only runs on the unfiltered over-fetch path.
-          if (filter == nullptr && tombstones_.count(gid) > 0) {
-            ++merge_dropped;
-            continue;
-          }
-          heap.Push(dists[j], gid);
-        }
-      }
-      if (write_hits.k > 0) {
-        candidates += write_scored;
-        const uint32_t* ids = write_hits.Row(q);
-        const float* dists = write_hits.distances.data() + q * write_hits.k;
-        for (size_t j = 0; j < write_hits.k; ++j) {
-          if (ids[j] == kInvalidId) break;  // filtered-scan padding
-          const uint32_t gid = write_ids_[ids[j]];
-          if (filter == nullptr && tombstones_.count(gid) > 0) {
-            ++merge_dropped;
-            continue;
-          }
-          heap.Push(dists[j], gid);
-        }
-      }
-      result.candidate_counts[q] = static_cast<uint32_t>(candidates);
-      result.SetRow(q, heap.TakeSorted());
-      if (result.stats) {
-        uint32_t bins = 0, fout = 0, visited = 0;
-        for (const SegmentHits& hits : per_segment) {
-          if (!hits.batch.stats) continue;
-          bins += hits.batch.stats->bins_probed[q];
-          fout += hits.batch.stats->filtered_out[q];
-          visited += hits.batch.stats->nodes_visited[q];
-        }
-        result.stats->candidates_scored[q] = result.candidate_counts[q];
-        result.stats->bins_probed[q] = bins;
-        result.stats->filtered_out[q] = static_cast<uint32_t>(
-            fout + write_filtered + merge_dropped);
-        result.stats->nodes_visited[q] = visited;
-      }
-    }
-  });
+  MergeKnnParts(parts, filter == nullptr ? &tombstones_ : nullptr,
+                options.num_threads, &result);
   return result;
 }
 
 RadiusResult DynamicIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
-  const MatrixView queries = request.queries;
-  const RadiusOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
+  const IdSelector* filter = request.options.filter;
+  USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
 
   // Shared lock across the whole fan-out + merge, as in SearchBatch.
   std::shared_lock<std::shared_mutex> lock(mutex_);
 
-  struct SegmentHits {
-    RadiusResult rows;
-    const std::vector<uint32_t>* global_ids;
-  };
-  std::vector<SegmentHits> per_segment;
-  per_segment.reserve(sealed_.size());
-
+  std::vector<PartResult<RadiusResult>> parts;
+  parts.reserve(sealed_.size() + 1);
   for (const auto& seg : sealed_) {
-    RadiusRequest sub;
-    sub.queries = queries;
-    sub.radius = request.radius;
-    sub.options = options;
-    if (filter == nullptr) {
-      // Unlike top-k, radius rows carry *every* in-range hit, so no
-      // tombstone over-fetch is needed: tombstoned hits drop at the merge
-      // without ever hiding deeper live ones.
-      per_segment.push_back(
-          {seg->index->RadiusSearchBatch(sub), &seg->global_ids});
-    } else {
-      // Tombstones ride inside the pushed-down selector; the local view is
-      // only consulted during this synchronous sub-search.
-      const LocalSelector local(filter, seg->global_ids, tombstones_);
-      sub.options.filter = &local;
-      per_segment.push_back(
-          {seg->index->RadiusSearchBatch(sub), &seg->global_ids});
-    }
+    // Unlike top-k, radius rows carry *every* in-range hit, so the
+    // unfiltered path needs no tombstone over-fetch.
+    RadiusRequest sub = request;
+    const PartSelector local(filter, seg->global_ids, &tombstones_);
+    if (filter != nullptr) sub.options.filter = &local;
+    parts.push_back({seg->index->RadiusSearchBatch(sub), &seg->global_ids});
   }
-
-  const size_t write_rows = write_ids_.size();
-  RadiusResult write_hits;  // num_queries() == 0 when the scan was skipped
-  size_t write_scored = 0;
-  size_t write_filtered = 0;
-  std::unique_ptr<IdSelectorBitmap> write_filter;
-  if (write_rows > 0) {
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    if (filter != nullptr) {
-      write_filter = std::make_unique<IdSelectorBitmap>(write_rows);
-      for (size_t i = 0; i < write_rows; ++i) {
-        const uint32_t gid = write_ids_[i];
-        if (filter->is_member(gid) && tombstones_.count(gid) == 0) {
-          write_filter->Set(static_cast<uint32_t>(i));
-          ++write_scored;
-        }
-      }
-      write_filtered = write_rows - write_scored;
-      if (write_scored > 0) {
-        write_hits =
-            BruteForceRadius(write_view, queries, request.radius,
-                             config_.metric, write_filter.get(),
-                             options.num_threads);
-      }
-    } else {
-      write_scored = write_rows;  // scanned exactly, as in SearchBatch
-      write_hits = BruteForceRadius(write_view, queries, request.radius,
-                                    config_.metric, /*filter=*/nullptr,
-                                    options.num_threads);
-    }
+  if (!write_ids_.empty()) {
+    parts.push_back({ScanWriteSegment(request), &write_ids_});
   }
-
-  return CollectRadiusRows(nq, options, [&](size_t q, RadiusResult* out) {
-    std::vector<Neighbor> merged;
-    size_t candidates = 0;
-    uint32_t bins = 0, fout = 0, visited = 0;
-    for (const SegmentHits& hits : per_segment) {
-      const RadiusResult& r = hits.rows;
-      candidates += r.candidate_counts[q];
-      if (r.stats) {
-        bins += r.stats->bins_probed[q];
-        fout += r.stats->filtered_out[q];
-        visited += r.stats->nodes_visited[q];
-      }
-      for (size_t j = r.offsets[q]; j < r.offsets[q + 1]; ++j) {
-        const uint32_t gid = (*hits.global_ids)[r.ids[j]];
-        // Filtered hits are pre-screened by the local selector; the
-        // tombstone check only runs on the unfiltered path.
-        if (filter == nullptr && tombstones_.count(gid) > 0) {
-          ++fout;
-          continue;
-        }
-        merged.push_back(Neighbor{r.distances[j], gid});
-      }
-    }
-    if (write_hits.num_queries() > 0) {
-      candidates += write_scored;
-      for (size_t j = write_hits.offsets[q]; j < write_hits.offsets[q + 1];
-           ++j) {
-        const uint32_t gid = write_ids_[write_hits.ids[j]];
-        if (filter == nullptr && tombstones_.count(gid) > 0) {
-          ++fout;
-          continue;
-        }
-        merged.push_back(Neighbor{write_hits.distances[j], gid});
-      }
-    }
-    // Segments hold disjoint global ids, so a plain (distance, gid) sort is
-    // the whole merge — no dedupe needed.
-    std::sort(merged.begin(), merged.end());
-    out->candidate_counts[q] = static_cast<uint32_t>(candidates);
-    if (out->stats) {
-      out->stats->candidates_scored[q] = static_cast<uint32_t>(candidates);
-      out->stats->bins_probed[q] = bins;
-      out->stats->filtered_out[q] =
-          static_cast<uint32_t>(fout + write_filtered);
-      out->stats->nodes_visited[q] = visited;
-    }
-    return merged;
-  });
+  return MergeRadiusParts(request.queries.rows(), parts,
+                          filter == nullptr ? &tombstones_ : nullptr,
+                          request.options);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@
 // while reads and writes continue; `Compact()` merges all sealed segments
 // into one, physically dropping deleted rows. Deletes are **tombstones**: a
 // deleted id is filtered from every result immediately and reclaimed at the
-// next compaction. Queries fan out over the write segment and all sealed
-// segments, and per-segment results — which carry exact distances
-// (BatchSearchResult::distances) — are merged with a TopK heap and remapped
-// from segment-local row numbers to stable global ids.
+// next compaction. Queries fan out over all sealed segments and the write
+// segment, and per-segment results — which carry exact distances — are
+// remapped from segment-local row numbers to stable global ids and merged by
+// the scatter-gather core ShardedIndex shares (serve/fan_out.h).
 //
 // Concurrency. One reader/writer lock guards the segment set: searches hold
 // it shared for their whole fan-out/merge, appends and deletes take it
@@ -37,16 +37,11 @@
 #include "dist/metric.h"
 #include "index/index.h"
 #include "index/serialize.h"  // LoadMode for container-backed sealed segments
+#include "serve/fan_out.h"     // SegmentBuilder
 #include "tensor/matrix.h"
 #include "util/status.h"
 
 namespace usp {
-
-/// Trains an immutable segment index over `base` (which the DynamicIndex
-/// keeps alive next to the returned index). The result must view `base`,
-/// index all of its rows, and report `metric`.
-using SegmentBuilder =
-    std::function<std::unique_ptr<Index>(const Matrix& base, Metric metric)>;
 
 /// SegmentBuilder that seals write segments to SQ8 (quant/sq8_index.h):
 /// 4x-compressed int8 codes scanned by the quantized kernels with exact fp32
@@ -227,7 +222,14 @@ class DynamicIndex : public Index {
   };
   static constexpr uint32_t kWriteSegment = 0xFFFFFFFFu;
 
-  std::unique_ptr<Index> BuildSegment(const Matrix& base) const;
+  /// The write segment as one more part of the fan-out: an exact scan that
+  /// reports its own candidate counts and excluded rows. Unfiltered, it
+  /// scans every row (tombstoned hits drop at the merge); filtered, only the
+  /// live allowed rows. Callers hold mutex_ shared and skip an empty write
+  /// segment.
+  BatchSearchResult ScanWriteSegment(MatrixView queries,
+                                     const SearchOptions& options) const;
+  RadiusResult ScanWriteSegment(const RadiusRequest& request) const;
   void FinishMaintenanceTask() const;
 
   const size_t dim_;

@@ -327,7 +327,6 @@ StatusOr<OutOfCoreBuildStats> BuildIvfFlat(ChunkStream* base,
     if (!status.ok()) return status;
     status = writer.Finish();
     if (!status.ok()) return status;
-    if (!out.Close()) return Status::IoError("short write to " + index_path);
 
     OutOfCoreBuildStats stats;
     stats.rows = n;
@@ -366,6 +365,9 @@ StatusOr<OutOfCoreBuildStats> BuildIvfFlat(ChunkStream* base,
                                 std::to_string(largest) + " of " + index_path);
       }
     }
+    // Installed only once every check passed: a failed build leaves any old
+    // file at index_path as it was.
+    if (!out.Close()) return Status::IoError("short write to " + index_path);
     return stats;
   }
 }
@@ -479,12 +481,11 @@ StatusOr<OutOfCoreBuildStats> OutOfCoreBuilder::BuildFromStream(
   if (config_.chunk_rows == 0) {
     return Status::InvalidArgument("OutOfCoreConfig::chunk_rows must be > 0");
   }
-  StatusOr<OutOfCoreBuildStats> stats =
-      config_.kind == OutOfCoreKind::kIvfFlat
-          ? BuildIvfFlat(base, index_path, config_)
-          : BuildSq8(base, index_path, config_);
-  if (!stats.ok()) std::remove(index_path.c_str());
-  return stats;
+  // FileWriter installs the container only on success, so a failed build
+  // leaves nothing half-written at index_path.
+  return config_.kind == OutOfCoreKind::kIvfFlat
+             ? BuildIvfFlat(base, index_path, config_)
+             : BuildSq8(base, index_path, config_);
 }
 
 StatusOr<std::unique_ptr<Index>> OutOfCoreBuilder::BuildInMemory(

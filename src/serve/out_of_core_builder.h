@@ -76,8 +76,9 @@ class OutOfCoreBuilder {
 
   /// Builds `index_path` from the .fvecs file at `fvecs_path` without ever
   /// materializing the base in RAM. Temp spill files live next to
-  /// `index_path` and are removed on exit; on error the partial output is
-  /// removed too.
+  /// `index_path` and are removed on exit. The container replaces any old
+  /// file at `index_path` atomically, and only on success (util/io.h
+  /// FileWriter).
   StatusOr<OutOfCoreBuildStats> Build(const std::string& fvecs_path,
                                       const std::string& index_path) const;
 

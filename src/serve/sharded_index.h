@@ -19,8 +19,8 @@
 // split across shards), translating an options.filter — which speaks global
 // ids — into a per-shard local selector evaluated lazily per candidate.
 // Per-shard results carry exact distances, so the gather is a TopK merge on
-// (distance, global id) exactly like DynamicIndex's per-segment merge: the
-// merged row is bit-identical to what one index holding the union of the
+// (distance, global id), the one DynamicIndex uses too (serve/fan_out.h):
+// the merged row is bit-identical to what one index holding the union of the
 // shards would return, filtered or not, at every shard count
 // (tests/sharded_index_test.cc pins {1, 3, 8}).
 //
@@ -182,7 +182,13 @@ class ShardedIndex : public Index {
   };
   static constexpr uint32_t kUnplaced = 0xFFFFFFFFu;
 
-  std::unique_ptr<Index> BuildShard(const Matrix& base) const;
+  /// Runs `search_shard(shard, threads)` on every live shard — on the
+  /// global pool when num_threads != 1 and more than one shard is live, each
+  /// with an equal slice of the thread cap — and pairs each answer with the
+  /// shard's id map.
+  template <typename Result, typename SearchShard>
+  std::vector<PartResult<Result>> Scatter(
+      size_t num_threads, const SearchShard& search_shard) const;
 
   const size_t dim_;
   const ShardedIndexConfig config_;

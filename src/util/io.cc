@@ -1,14 +1,33 @@
 #include "util/io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
 
 namespace usp {
 
-FileWriter::FileWriter(const std::string& path)
-    : file_(std::fopen(path.c_str(), "wb")) {}
+FileWriter::FileWriter(const std::string& path) : path_(path) {
+  // Unique per process and writer, and in the target's directory so the
+  // final rename stays on one filesystem.
+  static std::atomic<uint64_t> next_temp{0};
+  temp_path_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+               std::to_string(next_temp++);
+  const int fd =
+      ::open(temp_path_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return;
+  file_ = ::fdopen(fd, "wb");
+  if (file_ == nullptr) {
+    ::close(fd);
+    std::remove(temp_path_.c_str());
+  }
+}
 
 FileWriter::~FileWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (file_ == nullptr) return;
+  std::fclose(file_);
+  std::remove(temp_path_.c_str());
 }
 
 bool FileWriter::Write(const void* data, size_t size) {
@@ -22,9 +41,12 @@ bool FileWriter::Write(const void* data, size_t size) {
 
 bool FileWriter::Close() {
   if (file_ == nullptr) return false;
-  const bool close_ok = std::fclose(file_) == 0;
+  bool ok = !failed_ && std::fflush(file_) == 0 && ::fsync(fileno(file_)) == 0;
+  ok = std::fclose(file_) == 0 && ok;
   file_ = nullptr;
-  return close_ok && !failed_;
+  ok = ok && std::rename(temp_path_.c_str(), path_.c_str()) == 0;
+  if (!ok) std::remove(temp_path_.c_str());
+  return ok;
 }
 
 FileReader::FileReader(const std::string& path)

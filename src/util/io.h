@@ -40,8 +40,12 @@ class Reader {
   }
 };
 
-/// Writer over a stdio FILE. Owns the handle; closes on destruction. Check
-/// `ok()` after construction (open failure) and `Close()` to flush.
+/// Writer that atomically replaces the file at `path`. Bytes go to a sibling
+/// temp file; Close() flushes, fsyncs and renames it over `path`. Until then
+/// the old file is untouched, so a reader that has it mmap'd keeps serving
+/// its old contents and a failed or abandoned write leaves it loadable. The
+/// temp file is removed on any failure and on destruction without a
+/// successful Close(). Check `ok()` after construction (open failure).
 class FileWriter : public Writer {
  public:
   explicit FileWriter(const std::string& path);
@@ -52,10 +56,13 @@ class FileWriter : public Writer {
   bool ok() const { return file_ != nullptr && !failed_; }
   bool Write(const void* data, size_t size) override;
 
-  /// Flushes and closes; returns false if any write (or the close) failed.
+  /// Flushes, fsyncs, closes and renames the temp file over the target;
+  /// returns false if any write or any of those steps failed.
   bool Close();
 
  private:
+  std::string path_;
+  std::string temp_path_;
   std::FILE* file_ = nullptr;
   bool failed_ = false;
 };

@@ -21,6 +21,7 @@
 #include "ivf/ivf.h"
 #include "knn/brute_force.h"
 #include "serve/dynamic_index.h"
+#include "serve/sharded_index.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
 
@@ -100,6 +101,118 @@ TEST(DynamicIndexTest, StatsAggregateAcrossSegments) {
     EXPECT_EQ(got.stats->candidates_scored[q] + got.stats->filtered_out[q], n)
         << "q=" << q;
   }
+}
+
+// Deletes every 9th id and each query's exact nearest neighbour; returns the
+// nearest neighbours (query order).
+template <typename Router>
+std::vector<uint32_t> DeleteNearestAndEveryNinth(Router* index,
+                                                 const Workload& w) {
+  for (uint32_t id = 0; id < w.base.rows(); id += 9) {
+    EXPECT_TRUE(index->Delete(id));
+  }
+  const KnnResult exact = BruteForceKnn(w.base, w.queries, 1);
+  for (const uint32_t id : exact.indices) index->Delete(id);
+  return exact.indices;
+}
+
+// The fan-out's per-query accounting under deletes, for k-NN and radius,
+// unfiltered and forced-pushdown filtered, at full budget. `held` is the
+// number of rows the index physically holds: live rows plus tombstones not
+// yet reclaimed. When `nearest` is non-empty, nearest[q] is query q's
+// deleted exact nearest neighbour and still held.
+void ExpectTombstoneAccounting(const Index& index, const Workload& w,
+                               size_t held,
+                               const std::vector<uint32_t>& nearest) {
+  // Every query's 10 nearest neighbours are in range.
+  const KnnResult ten = BruteForceKnn(w.base, w.queries, 10);
+  const float radius = *std::max_element(ten.distances.begin(),
+                                         ten.distances.end());
+  const IdSelectorRange filter(100, 500);
+  for (const bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    SearchRequest request;
+    request.queries = w.queries;
+    request.options.k = 10;
+    request.options.budget = kFullBudget;
+    request.options.stats = true;
+    if (filtered) {
+      request.options.filter = &filter;
+      request.options.plan = PlanMode::kForcePushdown;
+    }
+    RadiusOptions options;
+    options.stats = true;
+    options.filter = request.options.filter;
+    const BatchSearchResult knn = index.SearchBatch(request);
+    const RadiusResult range = index.RadiusSearch(w.queries, radius, options);
+    ASSERT_TRUE(knn.stats.has_value());
+    ASSERT_TRUE(range.stats.has_value());
+    for (size_t q = 0; q < w.queries.rows(); ++q) {
+      SCOPED_TRACE(testing::Message() << "q=" << q);
+      EXPECT_EQ(knn.candidate_counts[q], knn.stats->candidates_scored[q]);
+      EXPECT_EQ(range.candidate_counts[q], range.stats->candidates_scored[q]);
+      if (filtered) {
+        // Every held row is scored or filtered out exactly once.
+        EXPECT_EQ(knn.stats->candidates_scored[q] + knn.stats->filtered_out[q],
+                  held);
+        EXPECT_EQ(
+            range.stats->candidates_scored[q] + range.stats->filtered_out[q],
+            held);
+        continue;
+      }
+      // Unfiltered, every held row is scored and tombstoned hits drop at the
+      // merge, counted as filtered out.
+      EXPECT_EQ(knn.candidate_counts[q], held);
+      EXPECT_EQ(range.candidate_counts[q], held);
+      if (nearest.empty()) continue;
+      const uint32_t* row = knn.Row(q);
+      EXPECT_EQ(std::find(row, row + knn.k, nearest[q]), row + knn.k);
+      EXPECT_GE(knn.stats->filtered_out[q], 1u);
+      const uint32_t* hits = range.RowIds(q);
+      EXPECT_EQ(std::find(hits, hits + range.RowSize(q), nearest[q]),
+                hits + range.RowSize(q));
+      EXPECT_GE(range.stats->filtered_out[q], 1u);
+    }
+  }
+}
+
+TEST(DynamicIndexTest, StatsAccountForTombstones) {
+  const Workload& w = DynWorkload();
+  const size_t n = w.base.rows();
+  DynamicIndex index(w.base.cols());
+  index.AddBatch(MatrixView(w.base.data(), n / 2, w.base.cols()));
+  index.Seal();
+  index.AddBatch(MatrixView(w.base.Row(n / 2), n - n / 2, w.base.cols()));
+  const std::vector<uint32_t> nearest = DeleteNearestAndEveryNinth(&index, w);
+  ASSERT_EQ(index.size() + index.num_tombstones(), n);
+  ExpectTombstoneAccounting(index, w, n, nearest);
+
+  // Compaction reclaims the sealed tombstones; the write segment's stay held.
+  index.Compact();
+  const size_t held = index.size() + index.num_tombstones();
+  EXPECT_LT(held, n);
+  ExpectTombstoneAccounting(index, w, held, {});
+}
+
+TEST(DynamicIndexTest, ShardedStatsAccountForTombstones) {
+  const Workload& w = DynWorkload();
+  const size_t n = w.base.rows();
+  ShardedIndexConfig config;
+  config.num_shards = 3;
+  ShardedIndex index(w.base.cols(), config);
+  index.AddBatch(MatrixView(w.base.data(), n / 2, w.base.cols()));
+  // Seal each shard's rows so far: shards span sealed and write segments.
+  ASSERT_TRUE(index
+                  .WithFrozenState([](const ShardedIndex::FrozenState& state) {
+                    for (const ShardedIndex::Shard& shard : state.shards) {
+                      shard.dynamic->Seal();
+                    }
+                    return Status::Ok();
+                  })
+                  .ok());
+  index.AddBatch(MatrixView(w.base.Row(n / 2), n - n / 2, w.base.cols()));
+  const std::vector<uint32_t> nearest = DeleteNearestAndEveryNinth(&index, w);
+  ExpectTombstoneAccounting(index, w, n, nearest);
 }
 
 TEST(DynamicIndexTest, WriteSegmentSearchIsExact) {

@@ -208,6 +208,15 @@ IdSelectorBitmap RandomSubset(size_t n, double selectivity, uint64_t seed) {
   return bitmap;
 }
 
+// Brute-force reference restricted to `filter` (nullptr = unfiltered).
+RadiusResult ReferenceRadius(MatrixView base, MatrixView queries,
+                             float radius, Metric metric,
+                             const IdSelector* filter) {
+  RadiusOptions options;
+  options.filter = filter;
+  return BruteForceRadius(base, queries, radius, metric, options);
+}
+
 void ExpectSameRadiusResult(const RadiusResult& got,
                             const RadiusResult& expected, const char* label) {
   EXPECT_EQ(got.offsets, expected.offsets) << label;
@@ -226,7 +235,7 @@ void ExpectMatchesBruteForce(const Index& index, MatrixView base,
   options.filter = filter;
   const RadiusResult got = index.RadiusSearch(queries, radius, options);
   const RadiusResult expected =
-      BruteForceRadius(base, queries, radius, index.metric(), filter);
+      ReferenceRadius(base, queries, radius, index.metric(), filter);
   ExpectSameRadiusResult(got, expected, label);
 }
 
@@ -377,24 +386,85 @@ TEST(RadiusSearchTest, StatsReportScoredAndFiltered) {
   const Radii radii = FixtureRadii();
   const size_t n = all.w.base.rows();
   const IdSelectorBitmap filter = RandomSubset(n, 0.5, /*seed=*/42);
+  for (const auto& [name, index] : all.All()) {
+    SCOPED_TRACE(name);
+    RadiusOptions options;
+    options.budget = kFullBudget;
+    options.stats = true;
+    const RadiusResult unfiltered =
+        index->RadiusSearch(all.w.queries, radii.many, options);
+    options.filter = &filter;
+    const RadiusResult filtered =
+        index->RadiusSearch(all.w.queries, radii.many, options);
+    ASSERT_TRUE(unfiltered.stats.has_value());
+    ASSERT_TRUE(filtered.stats.has_value());
+    for (size_t q = 0; q < all.w.queries.rows(); ++q) {
+      EXPECT_EQ(unfiltered.candidate_counts[q],
+                unfiltered.stats->candidates_scored[q]);
+      EXPECT_EQ(filtered.candidate_counts[q],
+                filtered.stats->candidates_scored[q]);
+      EXPECT_EQ(unfiltered.stats->filtered_out[q], 0u);
+      if (index->type() == IndexType::kHnsw) {
+        // HNSW scores every node it visits, filtered or not, and at full
+        // budget both walks visit the whole graph; the selector's drops are
+        // the visited nodes it kept out of the rows.
+        EXPECT_EQ(filtered.candidate_counts[q], unfiltered.candidate_counts[q]);
+        EXPECT_EQ(filtered.stats->nodes_visited[q], n);
+        EXPECT_EQ(filtered.stats->filtered_out[q], n - filter.count());
+      } else {
+        // Scored + dropped recovers the unfiltered candidate set (full
+        // budget probes every bin, so the pre-filter candidate sets agree).
+        EXPECT_EQ(
+            filtered.candidate_counts[q] + filtered.stats->filtered_out[q],
+            unfiltered.candidate_counts[q]);
+        EXPECT_GT(filtered.stats->filtered_out[q], 0u);
+      }
+      if (index == &all.partition) {
+        EXPECT_EQ(filtered.stats->bins_probed[q], 16u);
+      }
+    }
+  }
+}
+
+TEST(RadiusSearchTest, DynamicSq8SegmentsReportStats) {
+  // Sq8 answers radius requests with the brute-force default, whose stats
+  // must survive the DynamicIndex fan-out like every other segment type's.
+  Rng rng(91);
+  const size_t n = 2000, d = 16;
+  const Matrix base = Matrix::RandomGaussian(n, d, &rng);
+  const Matrix queries = Matrix::RandomGaussian(10, d, &rng);
+  DynamicIndexConfig config;
+  config.segment_builder = Sq8SegmentBuilder();
+  DynamicIndex index(d, config);
+  index.AddBatch(MatrixView(base.data(), 800, d));
+  index.Seal();
+  index.AddBatch(MatrixView(base.Row(800), 800, d));
+  index.Seal();
+  index.AddBatch(MatrixView(base.Row(1600), 400, d));
+  ASSERT_EQ(index.num_sealed_segments(), 2u);
+  IdSelectorBitmap filter(n);
+  for (uint32_t id = 0; id < n; id += 4) filter.Set(id);  // 500 of 2000
+
   RadiusOptions options;
-  options.budget = kFullBudget;
   options.stats = true;
-  const RadiusResult unfiltered =
-      all.partition.RadiusSearch(all.w.queries, radii.many, options);
   options.filter = &filter;
-  const RadiusResult filtered =
-      all.partition.RadiusSearch(all.w.queries, radii.many, options);
-  ASSERT_TRUE(unfiltered.stats.has_value());
-  ASSERT_TRUE(filtered.stats.has_value());
-  for (size_t q = 0; q < all.w.queries.rows(); ++q) {
-    EXPECT_EQ(filtered.candidate_counts[q],
-              filtered.stats->candidates_scored[q]);
-    // Scored + dropped recovers the unfiltered candidate set (full budget
-    // probes every bin, so the pre-filter candidate sets agree).
-    EXPECT_EQ(filtered.candidate_counts[q] + filtered.stats->filtered_out[q],
-              unfiltered.candidate_counts[q]);
-    EXPECT_EQ(filtered.stats->bins_probed[q], 16u);
+  const RadiusResult radius = index.RadiusSearch(queries, 1e30f, options);
+  SearchRequest request;
+  request.queries = queries;
+  request.options.k = 10;
+  request.options.budget = kFullBudget;
+  request.options.stats = true;
+  request.options.filter = &filter;
+  request.options.plan = PlanMode::kForcePushdown;
+  const BatchSearchResult knn = index.SearchBatch(request);
+  ASSERT_TRUE(radius.stats.has_value());
+  ASSERT_TRUE(knn.stats.has_value());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    EXPECT_EQ(radius.RowSize(q), 500u);
+    EXPECT_EQ(radius.stats->candidates_scored[q], 500u);
+    EXPECT_EQ(radius.stats->filtered_out[q], 1500u);
+    EXPECT_EQ(knn.stats->candidates_scored[q], 500u);
+    EXPECT_EQ(knn.stats->filtered_out[q], 1500u);
   }
 }
 
@@ -446,7 +516,7 @@ TEST(RadiusSearchTest, DynamicComposesFilterWithTombstonesAcrossSeal) {
   {
     const RadiusResult got =
         index.RadiusSearch(w.queries, radii.many, options);
-    const RadiusResult expected = BruteForceRadius(
+    const RadiusResult expected = ReferenceRadius(
         w.base, w.queries, radii.many, index.metric(), &reference);
     ExpectSameRadiusResult(got, expected, "write-segment");
   }
@@ -456,7 +526,7 @@ TEST(RadiusSearchTest, DynamicComposesFilterWithTombstonesAcrossSeal) {
   {
     const RadiusResult got =
         index.RadiusSearch(w.queries, radii.many, options);
-    const RadiusResult expected = BruteForceRadius(
+    const RadiusResult expected = ReferenceRadius(
         w.base, w.queries, radii.many, index.metric(), &reference);
     ExpectSameRadiusResult(got, expected, "sealed");
   }
@@ -483,7 +553,7 @@ TEST(RadiusSearchTest, DynamicComposesFilterWithTombstonesAcrossSeal) {
                 w.queries.size() * sizeof(float));
     const RadiusResult got =
         index.RadiusSearch(w.queries, radii.many, options);
-    const RadiusResult expected = BruteForceRadius(
+    const RadiusResult expected = ReferenceRadius(
         combined, w.queries, radii.many, index.metric(), &reference);
     ExpectSameRadiusResult(got, expected, "mixed-segments");
   }
@@ -502,7 +572,7 @@ TEST(RadiusSearchTest, DynamicComposesFilterWithTombstonesAcrossSeal) {
     unfiltered.budget = kFullBudget;
     const RadiusResult got =
         index.RadiusSearch(w.queries, radii.many, unfiltered);
-    const RadiusResult expected = BruteForceRadius(
+    const RadiusResult expected = ReferenceRadius(
         combined, w.queries, radii.many, index.metric(), &live);
     ExpectSameRadiusResult(got, expected, "tombstones-only");
   }
@@ -535,7 +605,7 @@ TEST(RadiusSearchTest, MutableShardedComposesDeletesAndFilter) {
   options.budget = kFullBudget;
   options.filter = &user_filter;
   const RadiusResult got = index.RadiusSearch(w.queries, radii.many, options);
-  const RadiusResult expected = BruteForceRadius(
+  const RadiusResult expected = ReferenceRadius(
       w.base, w.queries, radii.many, index.metric(), &reference);
   ExpectSameRadiusResult(got, expected, "sharded-deletes-filter");
 }

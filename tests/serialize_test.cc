@@ -23,6 +23,7 @@
 #include "ivf/ivf.h"
 #include "quant/scann_index.h"
 #include "quant/sq8_index.h"
+#include "util/rng.h"
 
 namespace usp {
 namespace {
@@ -459,25 +460,67 @@ TEST(IndexContainerTest, RegistryCoversEveryType) {
   EXPECT_EQ(FindIndexLoader(999), nullptr);
 }
 
+// A scorer type with no on-disk representation: SaveIndex must reject it.
+class OddEvenScorer : public BinScorer {
+ public:
+  size_t num_bins() const override { return 2; }
+  Matrix ScoreBins(MatrixView points) const override {
+    Matrix scores(points.rows(), 2);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      scores(i, i % 2) = 1.0f;
+    }
+    return scores;
+  }
+};
+
 TEST(IndexContainerTest, SaveRejectsUnserializableScorer) {
   // A scorer type with no on-disk representation must be rejected with a
   // Status, not silently written as garbage.
-  class OddEvenScorer : public BinScorer {
-   public:
-    size_t num_bins() const override { return 2; }
-    Matrix ScoreBins(MatrixView points) const override {
-      Matrix scores(points.rows(), 2);
-      for (size_t i = 0; i < points.rows(); ++i) {
-        scores(i, i % 2) = 1.0f;
-      }
-      return scores;
-    }
-  };
   const Workload& w = SerializeWorkload();
   OddEvenScorer scorer;
   PartitionIndex index(&w.base, &scorer);
   const Status status = SaveIndex(index, TempPath("odd_even.uspidx"));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(IndexContainerTest, SaveOverLiveMmapReplacesFileAtomically) {
+  // Saving over the file a mapped index serves must not pull the pages out
+  // from under it: the old mapping keeps answering bit-identically, a reopen
+  // sees the new index, and a failed save leaves the file loadable.
+  const Workload& w = SerializeWorkload();
+  const std::string path = TempPath("live_mmap.uspidx");
+  IvfConfig config;
+  config.nlist = 8;
+  config.seed = 3;
+  const IvfFlatIndex old_index(&w.base, config);
+  ASSERT_TRUE(SaveIndex(old_index, path).ok());
+  auto mapped = MmapIndex(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const BatchSearchResult before = mapped.value()->SearchBatch(w.queries, 10, 3);
+
+  Rng rng(4);
+  const Matrix other = Matrix::RandomGaussian(300, w.base.cols(), &rng);
+  const IvfFlatIndex new_index(&other, config);
+  ASSERT_TRUE(SaveIndex(new_index, path).ok());
+
+  const BatchSearchResult after = mapped.value()->SearchBatch(w.queries, 10, 3);
+  EXPECT_EQ(after.ids, before.ids);
+  EXPECT_EQ(after.distances, before.distances);
+  EXPECT_EQ(after.candidate_counts, before.candidate_counts);
+
+  const BatchSearchResult want = new_index.SearchBatch(w.queries, 10, 3);
+  auto reopened = OpenIndex(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->size(), other.rows());
+  EXPECT_EQ(reopened.value()->SearchBatch(w.queries, 10, 3).ids, want.ids);
+
+  OddEvenScorer scorer;
+  const PartitionIndex unsaveable(&w.base, &scorer);
+  EXPECT_FALSE(SaveIndex(unsaveable, path).ok());
+  auto survivor = OpenIndex(path, LoadMode::kHeap);
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  EXPECT_EQ(survivor.value()->SearchBatch(w.queries, 10, 3).ids, want.ids);
+  std::remove(path.c_str());
 }
 
 TEST(IndexContainerTest, IvfPqValidateConfigAcceptsAllMetrics) {
