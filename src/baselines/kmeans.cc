@@ -264,13 +264,13 @@ StatusOr<double> StreamInertia(ChunkStream* data, const Matrix& centroids,
 }
 
 KMeansPartitioner::KMeansPartitioner(const Matrix& data,
-                                     const KMeansConfig& config) {
-  centroids_ = std::move(RunKMeans(data, config).centroids);
-}
+                                     const KMeansConfig& config)
+    : KMeansPartitioner(std::move(RunKMeans(data, config).centroids)) {}
 
 KMeansPartitioner::KMeansPartitioner(Matrix centroids, Metric metric)
     : centroids_(std::move(centroids)), metric_(metric) {
   if (metric_ == Metric::kCosine) NormalizeRows(&centroids_);
+  RowSquaredNorms(centroids_, &centroid_norms_);
 }
 
 KMeansPartitioner KMeansPartitioner::FromTrainedCentroids(Matrix centroids,
@@ -284,7 +284,7 @@ Matrix KMeansPartitioner::ScoreBins(MatrixView points) const {
   Matrix scores(points.rows(), centroids_.rows());
   switch (metric_) {
     case Metric::kSquaredL2: {
-      PairwiseSquaredDistances(points, centroids_, &scores);
+      PairwiseSquaredDistances(points, centroids_, centroid_norms_, &scores);
       for (size_t i = 0; i < scores.size(); ++i) {
         scores.data()[i] = -scores.data()[i];
       }

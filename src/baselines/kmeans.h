@@ -114,6 +114,10 @@ class KMeansPartitioner : public BinScorer {
 
  private:
   Matrix centroids_;
+  /// RowSquaredNorms(centroids_), computed once at construction so an L2
+  /// ScoreBins call does no per-centroid work beyond the dot products (and a
+  /// one-query call never reaches the thread pool).
+  std::vector<float> centroid_norms_;
   Metric metric_ = Metric::kSquaredL2;
 };
 

@@ -33,7 +33,6 @@ size_t BinLookupTable::RankProbes(const float* scores, size_t budget,
 
 void BinLookupTable::Gather(const std::vector<uint32_t>& order, size_t probes,
                             std::vector<uint32_t>* candidates) const {
-  candidates->clear();
   for (size_t p = 0; p < probes; ++p) {
     const auto& bucket = buckets_[order[p]];
     candidates->insert(candidates->end(), bucket.begin(), bucket.end());
@@ -41,10 +40,11 @@ void BinLookupTable::Gather(const std::vector<uint32_t>& order, size_t probes,
 }
 
 size_t BinLookupTable::Collect(const float* scores, size_t budget,
+                               std::vector<uint32_t>* order,
                                std::vector<uint32_t>* candidates) const {
-  std::vector<uint32_t> order;
-  const size_t probes = RankProbes(scores, budget, &order);
-  Gather(order, probes, candidates);
+  const size_t probes = RankProbes(scores, budget, order);
+  candidates->clear();
+  Gather(*order, probes, candidates);
   return probes;
 }
 
@@ -64,14 +64,16 @@ BatchSearchResult RerankGathered(MatrixView queries,
   result.Prepare(nq, options);
   ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
                                               size_t) {
-    std::vector<uint32_t> candidates;
+    std::vector<uint32_t> order, candidates;
+    ScoreScratch scratch;
     for (size_t q = begin; q < end; ++q) {
-      const size_t probes = gather(q, &candidates);
+      const size_t probes = gather(q, &order, &candidates);
       RerankCounts counts;
-      result.SetRow(q, RerankCandidatesScored(dist, queries.Row(q),
-                                              candidates, options.k,
-                                              options.filter, &counts));
-      // The rerank dedupes, so scored counts distinct candidates the
+      result.SetRow(q, RerankDistinctCandidates(dist, queries.Row(q),
+                                                &candidates, options.k,
+                                                options.filter, &counts,
+                                                &scratch));
+      // Gathered ids are distinct, so scored counts the candidates the
       // selector kept: |C(q)| for disjoint bins and no filter.
       result.candidate_counts[q] = counts.scored;
       if (result.stats) {
@@ -87,22 +89,25 @@ BatchSearchResult RerankGathered(MatrixView queries,
 RadiusResult RangeFilterGathered(const RadiusRequest& request,
                                  const DistanceComputer& dist,
                                  const CandidateGather& gather) {
-  return CollectRadiusRows(
+  return CollectRadiusChunks(
       request.queries.rows(), request.options,
-      [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates;
-        const size_t probes = gather(q, &candidates);
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(dist, request.queries.Row(q),
-                                          &candidates, request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
+      [&](size_t begin, size_t end, RadiusResult* result,
+          std::vector<Neighbor>* rows) {
+        std::vector<uint32_t> order, candidates;
+        ScoreScratch scratch;
+        for (size_t q = begin; q < end; ++q) {
+          const size_t probes = gather(q, &order, &candidates);
+          RadiusRowCounts counts;
+          rows[q] = RangeFilterDistinctCandidates(
+              dist, request.queries.Row(q), &candidates, request.radius,
+              request.options.filter, &counts, &scratch);
+          result->candidate_counts[q] = counts.scored;
+          if (result->stats) {
+            result->stats->candidates_scored[q] = counts.scored;
+            result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
+            result->stats->filtered_out[q] = counts.filtered_out;
+          }
         }
-        return hits;
       });
 }
 

@@ -38,13 +38,15 @@ class BinLookupTable {
   size_t RankProbes(const float* scores, size_t budget,
                     std::vector<uint32_t>* order) const;
 
-  /// Replaces *candidates with the members of bins order[0, probes), in
-  /// probe order.
+  /// Appends the members of bins order[0, probes) to *candidates, in probe
+  /// order. Each point sits in one bin, so the appended ids are distinct.
   void Gather(const std::vector<uint32_t>& order, size_t probes,
               std::vector<uint32_t>* candidates) const;
 
-  /// RankProbes + Gather for one query; returns the bins probed.
+  /// RankProbes into the `order` scratch, then replaces *candidates with the
+  /// probed bins' members; returns the bins probed.
   size_t Collect(const float* scores, size_t budget,
+                 std::vector<uint32_t>* order,
                  std::vector<uint32_t>* candidates) const;
 
   /// Planner cost input (index/query_planner.h): the balanced-bin candidate
@@ -56,15 +58,18 @@ class BinLookupTable {
   std::vector<std::vector<uint32_t>> buckets_;  ///< the paper's lookup table
 };
 
-/// Candidate generation for query q: fills *candidates (ids may repeat; the
-/// stages below dedupe) and returns the number of bins probed.
-using CandidateGather =
-    std::function<size_t(size_t q, std::vector<uint32_t>* candidates)>;
+/// Candidate generation for query q: replaces *candidates with distinct ids
+/// and returns the number of bins probed. `order` is probe-ranking scratch.
+/// The stages below score the ids as given, without a dedupe: a gather
+/// whose sources overlap (the ensemble union) dedupes itself.
+using CandidateGather = std::function<size_t(
+    size_t q, std::vector<uint32_t>* order, std::vector<uint32_t>* candidates)>;
 
 /// k-NN over gathered candidates: every query's set is exact-reranked under
 /// `options` (k, filter pushdown, stats), sharded over the pool under
-/// options.num_threads. Each query writes only its own rows, so results are
-/// bit-identical at every thread count.
+/// options.num_threads, with the id, order and score buffers reused across
+/// the queries of a chunk. Each query writes only its own rows, so results
+/// are bit-identical at every thread count.
 BatchSearchResult RerankGathered(MatrixView queries,
                                  const SearchOptions& options,
                                  const DistanceComputer& dist,

@@ -87,6 +87,7 @@ std::vector<Matrix> UspEnsemble::ScoreQueries(MatrixView queries) const {
 
 size_t UspEnsemble::GatherCandidates(const std::vector<Matrix>& scores,
                                      size_t q, size_t num_probes,
+                                     std::vector<uint32_t>* order,
                                      std::vector<uint32_t>* candidates) const {
   const size_t e = models_.size();
   if (config_.combine == EnsembleCombine::kBestConfidence) {
@@ -101,20 +102,23 @@ size_t UspEnsemble::GatherCandidates(const std::vector<Matrix>& scores,
         best_model = j;
       }
     }
-    indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
-                                            num_probes, candidates);
-    return std::min(num_probes, indexes_[best_model]->num_bins());
+    return indexes_[best_model]->table().Collect(
+        scores[best_model].Row(q), num_probes, order, candidates);
   }
   candidates->clear();
-  std::vector<uint32_t> model_candidates;
   size_t probes = 0;
   for (size_t j = 0; j < e; ++j) {
-    indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
-                                   &model_candidates);
-    probes += std::min(num_probes, indexes_[j]->num_bins());
-    candidates->insert(candidates->end(), model_candidates.begin(),
-                       model_candidates.end());
+    const BinLookupTable& table = indexes_[j]->table();
+    const size_t model_probes =
+        table.RankProbes(scores[j].Row(q), num_probes, order);
+    table.Gather(*order, model_probes, candidates);
+    probes += model_probes;
   }
+  // The members' bins overlap, so the union repeats ids. This is the one
+  // gather that can, and it dedupes before the rerank and range filter.
+  std::sort(candidates->begin(), candidates->end());
+  candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                    candidates->end());
   return probes;
 }
 
@@ -126,8 +130,10 @@ BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   const std::vector<Matrix> scores = ScoreQueries(request.queries);
   return RerankGathered(
       request.queries, request.options, *dist_,
-      [&](size_t q, std::vector<uint32_t>* candidates) {
-        return GatherCandidates(scores, q, request.options.budget, candidates);
+      [&](size_t q, std::vector<uint32_t>* order,
+          std::vector<uint32_t>* candidates) {
+        return GatherCandidates(scores, q, request.options.budget, order,
+                                candidates);
       });
 }
 
@@ -135,8 +141,11 @@ RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const 
   USP_CHECK(!base_.empty() && !models_.empty());
   const std::vector<Matrix> scores = ScoreQueries(request.queries);
   return RangeFilterGathered(
-      request, *dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
-        return GatherCandidates(scores, q, request.options.budget, candidates);
+      request, *dist_,
+      [&](size_t q, std::vector<uint32_t>* order,
+          std::vector<uint32_t>* candidates) {
+        return GatherCandidates(scores, q, request.options.budget, order,
+                                candidates);
       });
 }
 

@@ -92,10 +92,11 @@ class UspEnsemble : public Index {
   /// Scores the queries on every model once.
   std::vector<Matrix> ScoreQueries(MatrixView queries) const;
   /// Alg. 4 candidate generation for query q: the probed bins of the most
-  /// confident model, or the union over all models (ids may repeat; the
-  /// rerank and range-filter stages dedupe). Returns the bins probed.
+  /// confident model, or the deduplicated union over all models. Either way
+  /// *candidates holds distinct ids (bin_lookup.h CandidateGather); `order`
+  /// is probe-ranking scratch. Returns the bins probed.
   size_t GatherCandidates(const std::vector<Matrix>& scores, size_t q,
-                          size_t num_probes,
+                          size_t num_probes, std::vector<uint32_t>* order,
                           std::vector<uint32_t>* candidates) const;
 
   UspEnsembleConfig config_;

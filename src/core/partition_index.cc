@@ -31,7 +31,8 @@ Matrix PartitionIndex::ScoreQueries(MatrixView queries) const {
 
 void PartitionIndex::CollectCandidates(const float* scores, size_t num_probes,
                                        std::vector<uint32_t>* candidates) const {
-  table_.Collect(scores, num_probes, candidates);
+  std::vector<uint32_t> order;
+  table_.Collect(scores, num_probes, &order, candidates);
 }
 
 BatchSearchResult PartitionIndex::SearchBatch(
@@ -49,8 +50,10 @@ RadiusResult PartitionIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
   const Matrix scores = ScoreQueries(request.queries);
   return RangeFilterGathered(
-      request, dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
-        return table_.Collect(scores.Row(q), request.options.budget,
+      request, dist_,
+      [&](size_t q, std::vector<uint32_t>* order,
+          std::vector<uint32_t>* candidates) {
+        return table_.Collect(scores.Row(q), request.options.budget, order,
                               candidates);
       });
 }
@@ -62,8 +65,10 @@ BatchSearchResult PartitionIndex::SearchBatchWithScores(
   USP_CHECK(scores.cols() == table_.num_bins());
   return RerankGathered(
       queries, options, dist_,
-      [&](size_t q, std::vector<uint32_t>* candidates) {
-        return table_.Collect(scores.Row(q), options.budget, candidates);
+      [&](size_t q, std::vector<uint32_t>* order,
+          std::vector<uint32_t>* candidates) {
+        return table_.Collect(scores.Row(q), options.budget, order,
+                              candidates);
       });
 }
 

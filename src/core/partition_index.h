@@ -87,6 +87,7 @@ class PartitionIndex : public Index {
   MatrixView base_view() const override { return base_; }
   MatrixView base() const { return base_; }
   const BinScorer* scorer() const { return scorer_; }
+  const BinLookupTable& table() const { return table_; }
   const std::vector<std::vector<uint32_t>>& buckets() const {
     return table_.buckets();
   }

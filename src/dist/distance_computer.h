@@ -19,6 +19,13 @@
 
 namespace usp {
 
+/// Caller-owned buffers for scoring one query's gathered ids (PrepareQuery
+/// output and ScoreIds scores), reused across the queries of one thread.
+struct ScoreScratch {
+  std::vector<float> query;
+  std::vector<float> scores;
+};
+
 /// Scores queries against rows of a fixed base matrix under one metric.
 /// Holds a view of the base; the viewed storage (heap Matrix or mmap'd
 /// container section) must outlive the computer. Construction is O(1) for L2

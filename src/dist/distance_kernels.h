@@ -42,8 +42,8 @@ struct DistanceKernels {
   void (*score_block_dot)(const float* query, const float* rows, size_t count,
                           size_t d, float* out);
 
-  /// out[i] = ||query - base[ids[i]*d ..]||^2, software-prefetching the
-  /// gathered rows a few ids ahead.
+  /// out[i] = ||query - base[ids[i]*d ..]||^2, software-prefetching every
+  /// cache line of the gathered rows a few ids ahead.
   void (*score_ids_l2)(const float* query, const float* base, size_t d,
                        const uint32_t* ids, size_t count, float* out);
 
@@ -55,6 +55,17 @@ struct DistanceKernels {
   /// bit-compatibility promise: the vector path uses FMA contraction.)
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
 };
+
+/// Prefetches every 64-byte cache line of a d-float row. The gathers of both
+/// sets use it: gathered rows are unrelated in memory, so a partial prefetch
+/// would leave the rest of each row to a demand miss.
+inline void PrefetchWholeRow(const float* row, size_t d) {
+  const uintptr_t end = reinterpret_cast<uintptr_t>(row + d);
+  for (uintptr_t line = reinterpret_cast<uintptr_t>(row) & ~uintptr_t{63};
+       line < end; line += 64) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
 
 /// The portable fallback set (always available).
 const DistanceKernels& ScalarKernels();

@@ -70,7 +70,8 @@ void ScoreIdsL2Scalar(const float* query, const float* base, size_t d,
                       const uint32_t* ids, size_t count, float* out) {
   for (size_t i = 0; i < count; ++i) {
     if (i + kPrefetchAhead < count) {
-      __builtin_prefetch(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d);
+      PrefetchWholeRow(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d,
+                       d);
     }
     out[i] = SquaredL2Scalar(query, base + static_cast<size_t>(ids[i]) * d, d);
   }
@@ -80,7 +81,8 @@ void ScoreIdsDotScalar(const float* query, const float* base, size_t d,
                        const uint32_t* ids, size_t count, float* out) {
   for (size_t i = 0; i < count; ++i) {
     if (i + kPrefetchAhead < count) {
-      __builtin_prefetch(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d);
+      PrefetchWholeRow(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d,
+                       d);
     }
     out[i] = DotScalar(query, base + static_cast<size_t>(ids[i]) * d, d);
   }

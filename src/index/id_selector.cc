@@ -72,4 +72,14 @@ size_t CountUpTo(const IdSelector& filter, size_t universe, size_t limit) {
   return found;
 }
 
+uint32_t EraseNonMembers(const IdSelector* filter, std::vector<uint32_t>* ids) {
+  if (filter == nullptr) return 0;
+  const size_t before = ids->size();
+  ids->erase(
+      std::remove_if(ids->begin(), ids->end(),
+                     [&](uint32_t id) { return !filter->is_member(id); }),
+      ids->end());
+  return static_cast<uint32_t>(before - ids->size());
+}
+
 }  // namespace usp

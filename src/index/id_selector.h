@@ -165,6 +165,11 @@ class IdSelectorNot final : public IdSelector {
 /// L allowed ids?" pays at most one membership test per id up to the answer.
 size_t CountUpTo(const IdSelector& filter, size_t universe, size_t limit);
 
+/// Selector pushdown on a candidate list: erases the ids `filter` rejects,
+/// keeping the order of the rest, and returns how many were erased. A null
+/// filter keeps every id.
+uint32_t EraseNonMembers(const IdSelector* filter, std::vector<uint32_t>* ids);
+
 }  // namespace usp
 
 #endif  // USP_INDEX_ID_SELECTOR_H_

@@ -247,35 +247,40 @@ KnnResult FilterKnnToSubset(const KnnResult& global,
   return out;
 }
 
+std::vector<Neighbor> RerankDistinctCandidates(
+    const DistanceComputer& dist, const float* query,
+    std::vector<uint32_t>* candidates, size_t k, const IdSelector* filter,
+    RerankCounts* counts, ScoreScratch* scratch) {
+  std::vector<uint32_t>& ids = *candidates;
+  const uint32_t dropped = EraseNonMembers(filter, &ids);
+  if (counts != nullptr) {
+    counts->scored = static_cast<uint32_t>(ids.size());
+    counts->filtered_out = dropped;
+  }
+
+  const float* prepared = dist.PrepareQuery(query, &scratch->query);
+  scratch->scores.resize(ids.size());
+  dist.ScoreIds(prepared, ids.data(), ids.size(), scratch->scores.data());
+
+  // TopK keeps the strict (distance, id) order, so the result does not
+  // depend on the order of `ids`.
+  TopK heap(std::min(k, ids.size()));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    heap.Push(scratch->scores[i], ids[i]);
+  }
+  return heap.TakeSorted();
+}
+
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
     const IdSelector* filter, RerankCounts* counts) {
-  // Ensembles and multi-probe sweeps can feed overlapping candidate lists;
-  // dedupe so duplicates never occupy several top-k slots.
   std::vector<uint32_t> ids(candidates);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-  if (filter != nullptr) {
-    const size_t before = ids.size();
-    ids.erase(std::remove_if(ids.begin(), ids.end(),
-                             [&](uint32_t id) { return !filter->is_member(id); }),
-              ids.end());
-    if (counts != nullptr) {
-      counts->filtered_out = static_cast<uint32_t>(before - ids.size());
-    }
-  }
-  if (counts != nullptr) counts->scored = static_cast<uint32_t>(ids.size());
-
-  std::vector<float> scratch;
-  const float* prepared = dist.PrepareQuery(query, &scratch);
-  std::vector<float> scores(ids.size());
-  dist.ScoreIds(prepared, ids.data(), ids.size(), scores.data());
-
-  TopK heap(std::min(k, ids.size()));
-  for (size_t i = 0; i < ids.size(); ++i) heap.Push(scores[i], ids[i]);
-  return heap.TakeSorted();
+  ScoreScratch scratch;
+  return RerankDistinctCandidates(dist, query, &ids, k, filter, counts,
+                                  &scratch);
 }
 
 std::vector<uint32_t> RerankCandidates(const DistanceComputer& dist,

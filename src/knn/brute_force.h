@@ -92,18 +92,28 @@ struct RerankCounts {
 /// Re-ranks a candidate list by exact distance under `dist`'s metric and
 /// returns the top k candidates as (distance, id) pairs, ascending by
 /// distance (ties by id). Duplicate ids in `candidates` (e.g. from
-/// overlapping ensemble probes) are deduplicated before scoring, so the
-/// result never repeats an id. When `filter` is set, candidates it rejects
-/// are dropped *before* scoring (selector pushdown: disallowed rows cost no
-/// distance work and can never displace allowed ones); `counts`, when
-/// non-null, receives the scored/filtered tallies. Scoring goes through the
-/// batched gather-by-id kernels (prefetched). Used by every partition-based
-/// index for the final scan of the candidate set; the scores feed
-/// cross-segment merging in the serving layer.
+/// overlapping probes) are deduplicated before scoring, so the result never
+/// repeats an id. When `filter` is set, candidates it rejects are dropped
+/// *before* scoring (selector pushdown: disallowed rows cost no distance work
+/// and can never displace allowed ones); `counts`, when non-null, receives
+/// the scored/filtered tallies. Scoring goes through the batched
+/// gather-by-id kernels (prefetched). The index types' own gathers cannot
+/// repeat an id and skip the dedupe through RerankDistinctCandidates.
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
     const IdSelector* filter = nullptr, RerankCounts* counts = nullptr);
+
+/// RerankCandidatesScored for a candidate list that holds no repeated id (a
+/// bin lookup table gather, a TopK shortlist): no copy, sort or dedupe.
+/// Selector-rejected ids are erased from *candidates in place; `scratch`
+/// holds the scores and the prepared query. The result is the same as
+/// RerankCandidatesScored's for any order of the ids, since the top k follow
+/// the strict (distance, id) order.
+std::vector<Neighbor> RerankDistinctCandidates(
+    const DistanceComputer& dist, const float* query,
+    std::vector<uint32_t>* candidates, size_t k, const IdSelector* filter,
+    RerankCounts* counts, ScoreScratch* scratch);
 
 /// Id-only convenience wrapper over RerankCandidatesScored.
 std::vector<uint32_t> RerankCandidates(const DistanceComputer& dist,

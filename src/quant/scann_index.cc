@@ -138,6 +138,7 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
     std::vector<uint32_t> order;
     std::vector<uint16_t> sums;
     std::vector<float> query_scratch;
+    ScoreScratch rerank_scratch;
     for (size_t q = begin; q < end; ++q) {
       const float* query = queries.Row(q);
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
@@ -185,21 +186,13 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
           candidates.resize(base_.rows());
           std::iota(candidates.begin(), candidates.end(), 0u);
         } else {
+          candidates.clear();
           table_.Gather(order, probes, &candidates);
         }
 
         // Selector pushdown ahead of the ADC stage: disallowed rows cost no
         // table lookups and cannot crowd allowed rows out of the shortlist.
-        if (options.filter != nullptr) {
-          const size_t before = candidates.size();
-          candidates.erase(
-              std::remove_if(candidates.begin(), candidates.end(),
-                             [&](uint32_t id) {
-                               return !options.filter->is_member(id);
-                             }),
-              candidates.end());
-          dropped = before - candidates.size();
-        }
+        dropped = EraseNonMembers(options.filter, &candidates);
         scored = candidates.size();
         for (uint32_t id : candidates) {
           approx.Push(quantizer_.AdcDistance(table, codes_ + id * m_sub), id);
@@ -219,8 +212,12 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 
       // Exact re-rank of the shortlist through the batched gather-by-id
       // kernels (already filtered in the float stage; fast-scan requests are
-      // unfiltered by construction).
-      result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));
+      // unfiltered by construction). A TopK holds each id once, so the
+      // shortlist needs no dedupe.
+      result.SetRow(q, RerankDistinctCandidates(dist_, query, &shortlist, k,
+                                                /*filter=*/nullptr,
+                                                /*counts=*/nullptr,
+                                                &rerank_scratch));
     }
   });
   return result;
@@ -232,9 +229,11 @@ RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
     scores = partitioner_->ScoreBins(request.queries);
   }
   return RangeFilterGathered(
-      request, dist_, [&](size_t q, std::vector<uint32_t>* candidates) {
+      request, dist_,
+      [&](size_t q, std::vector<uint32_t>* order,
+          std::vector<uint32_t>* candidates) {
         if (partitioner_ != nullptr) {
-          return table_.Collect(scores.Row(q), request.options.budget,
+          return table_.Collect(scores.Row(q), request.options.budget, order,
                                 candidates);
         }
         candidates->resize(base_.rows());

@@ -128,6 +128,7 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
     std::vector<uint8_t> qcode(d);
     std::vector<uint32_t> proxy_scores(kScanChunk);
     std::vector<uint32_t> shortlist;
+    ScoreScratch rerank_scratch;
     for (size_t q = begin; q < end; ++q) {
       const float* query = queries.Row(q);
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
@@ -182,8 +183,12 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
       shortlist.clear();
       for (const auto& cand : top_approx) shortlist.push_back(cand.id);
 
-      // Exact fp32 re-rank of the shortlist (already filtered above).
-      result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));
+      // Exact fp32 re-rank of the shortlist (already filtered above). A TopK
+      // holds each id once, so the shortlist needs no dedupe.
+      result.SetRow(q, RerankDistinctCandidates(dist_, query, &shortlist, k,
+                                                /*filter=*/nullptr,
+                                                /*counts=*/nullptr,
+                                                &rerank_scratch));
     }
   });
   return result;

@@ -84,11 +84,18 @@ void NormalizeRows(Matrix* m) {
 }
 
 void PairwiseSquaredDistances(MatrixView a, const Matrix& b, Matrix* dist) {
-  USP_CHECK(a.cols() == b.cols());
-  USP_CHECK(dist->rows() == a.rows() && dist->cols() == b.rows());
-  std::vector<float> a_norms, b_norms;
-  RowSquaredNorms(a, &a_norms);
+  std::vector<float> b_norms;
   RowSquaredNorms(b, &b_norms);
+  PairwiseSquaredDistances(a, b, b_norms, dist);
+}
+
+void PairwiseSquaredDistances(MatrixView a, const Matrix& b,
+                              const std::vector<float>& b_norms, Matrix* dist) {
+  USP_CHECK(a.cols() == b.cols());
+  USP_CHECK(b_norms.size() == b.rows());
+  USP_CHECK(dist->rows() == a.rows() && dist->cols() == b.rows());
+  std::vector<float> a_norms;
+  RowSquaredNorms(a, &a_norms);
   GemmTransposedB(a, b, dist);
   ParallelFor(a.rows(), kRowGrain, [&](size_t begin, size_t end, size_t) {
     for (size_t i = begin; i < end; ++i) {

@@ -36,6 +36,12 @@ void NormalizeRows(Matrix* m);
 /// Clamped at 0 to guard against floating-point cancellation.
 void PairwiseSquaredDistances(MatrixView a, const Matrix& b, Matrix* dist);
 
+/// Same, with b's squared row norms supplied (RowSquaredNorms(b) output, e.g.
+/// cached by a caller that scores many batches against one fixed b).
+/// Bit-identical to the overload above.
+void PairwiseSquaredDistances(MatrixView a, const Matrix& b,
+                              const std::vector<float>& b_norms, Matrix* dist);
+
 /// Exact squared Euclidean distance between two d-vectors. Thin wrapper over
 /// the dispatched kernel set (src/dist/); hot loops should hoist
 /// GetDistanceKernels() and call the kernels directly.

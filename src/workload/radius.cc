@@ -7,38 +7,26 @@
 
 namespace usp {
 
-std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
-                                            const float* query,
-                                            std::vector<uint32_t>* candidates,
-                                            float radius,
-                                            const IdSelector* filter,
-                                            RadiusRowCounts* counts) {
+std::vector<Neighbor> RangeFilterDistinctCandidates(
+    const DistanceComputer& dist, const float* query,
+    std::vector<uint32_t>* candidates, float radius, const IdSelector* filter,
+    RadiusRowCounts* counts, ScoreScratch* scratch) {
   std::vector<uint32_t>& ids = *candidates;
-  // Overlapping probes (ensembles, multi-bin unions) can repeat ids; dedupe so
-  // no point is scored twice or reported twice.
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-  if (filter != nullptr) {
-    const size_t before = ids.size();
-    ids.erase(
-        std::remove_if(ids.begin(), ids.end(),
-                       [&](uint32_t id) { return !filter->is_member(id); }),
-        ids.end());
-    if (counts != nullptr) {
-      counts->filtered_out = static_cast<uint32_t>(before - ids.size());
-    }
+  const uint32_t dropped = EraseNonMembers(filter, &ids);
+  if (counts != nullptr) {
+    counts->scored = static_cast<uint32_t>(ids.size());
+    counts->filtered_out = dropped;
   }
-  if (counts != nullptr) counts->scored = static_cast<uint32_t>(ids.size());
 
-  std::vector<float> scratch;
-  const float* prepared = dist.PrepareQuery(query, &scratch);
-  std::vector<float> scores(ids.size());
-  dist.ScoreIds(prepared, ids.data(), ids.size(), scores.data());
+  const float* prepared = dist.PrepareQuery(query, &scratch->query);
+  scratch->scores.resize(ids.size());
+  dist.ScoreIds(prepared, ids.data(), ids.size(), scratch->scores.data());
 
   std::vector<Neighbor> hits;
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (scores[i] <= radius) hits.push_back(Neighbor{scores[i], ids[i]});
+    if (scratch->scores[i] <= radius) {
+      hits.push_back(Neighbor{scratch->scores[i], ids[i]});
+    }
   }
   std::sort(hits.begin(), hits.end());  // (distance, id) total order
   return hits;
@@ -48,6 +36,18 @@ RadiusResult CollectRadiusRows(
     size_t num_queries, const RadiusOptions& options,
     const std::function<std::vector<Neighbor>(size_t, RadiusResult*)>&
         row_fn) {
+  return CollectRadiusChunks(
+      num_queries, options,
+      [&](size_t begin, size_t end, RadiusResult* result,
+          std::vector<Neighbor>* rows) {
+        for (size_t q = begin; q < end; ++q) rows[q] = row_fn(q, result);
+      });
+}
+
+RadiusResult CollectRadiusChunks(
+    size_t num_queries, const RadiusOptions& options,
+    const std::function<void(size_t, size_t, RadiusResult*,
+                             std::vector<Neighbor>*)>& chunk_fn) {
   RadiusResult result;
   result.offsets.assign(num_queries + 1, 0);
   result.candidate_counts.assign(num_queries, 0);
@@ -59,9 +59,7 @@ RadiusResult CollectRadiusRows(
   std::vector<std::vector<Neighbor>> rows(num_queries);
   ParallelFor(num_queries, 8, options.num_threads,
               [&](size_t q_begin, size_t q_end, size_t) {
-                for (size_t q = q_begin; q < q_end; ++q) {
-                  rows[q] = row_fn(q, &result);
-                }
+                chunk_fn(q_begin, q_end, &result, rows.data());
               });
 
   size_t total = 0;

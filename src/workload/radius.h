@@ -12,10 +12,10 @@
 // reference BruteForceRadius (knn/brute_force.h), the same acceptance
 // contract filtered k-NN search pins (tests/radius_search_test.cc).
 //
-// This header also hosts the two helpers every candidate-generating index
-// type shares: RangeFilterCandidates (sort/dedupe/pushdown + exact ScoreIds
-// scoring + radius cut) and CollectRadiusRows (the parallel per-query driver
-// that assembles the CSR result).
+// This header also hosts the helpers every candidate-generating index type
+// shares: RangeFilterDistinctCandidates (pushdown + exact ScoreIds scoring +
+// radius cut over distinct ids) and CollectRadiusRows/CollectRadiusChunks
+// (the parallel per-query drivers that assemble the CSR result).
 #ifndef USP_WORKLOAD_RADIUS_H_
 #define USP_WORKLOAD_RADIUS_H_
 
@@ -118,26 +118,26 @@ struct RadiusResult {
   }
 };
 
-/// Work counters of one RangeFilterCandidates call (mirrors RerankCounts).
+/// Work counters of one RangeFilterDistinctCandidates call (mirrors
+/// RerankCounts).
 struct RadiusRowCounts {
   uint32_t scored = 0;        ///< candidates exact-scored (post-filter)
   uint32_t filtered_out = 0;  ///< candidates the selector dropped unscored
 };
 
-/// The shared range-filter stage of every candidate-generating index type:
-/// sorts and deduplicates `candidates` in place, drops selector-rejected ids
-/// *before* scoring (pushdown — same contract as RerankCandidatesScored),
-/// exact-scores the survivors through dist.ScoreIds, and returns the hits
-/// with distance <= radius sorted by ascending (distance, id). Because
-/// ScoreIds applies the same per-row kernel as the brute-force reference,
-/// a candidate set that covers the allowed base (full budget) makes the
-/// output bit-identical to BruteForceRadius.
-std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
-                                            const float* query,
-                                            std::vector<uint32_t>* candidates,
-                                            float radius,
-                                            const IdSelector* filter = nullptr,
-                                            RadiusRowCounts* counts = nullptr);
+/// The shared range-filter stage of every candidate-generating index type,
+/// for candidates that hold no repeated id (a bin lookup table gather): drops
+/// selector-rejected ids from *candidates *before* scoring (pushdown — same
+/// contract as RerankCandidatesScored), exact-scores the survivors through
+/// dist.ScoreIds with `scratch`'s buffers, and returns the hits with
+/// distance <= radius sorted by ascending (distance, id), whatever the order
+/// of the ids. Because ScoreIds applies the same per-row kernel as the
+/// brute-force reference, a candidate set that covers the allowed base (full
+/// budget) makes the output bit-identical to BruteForceRadius.
+std::vector<Neighbor> RangeFilterDistinctCandidates(
+    const DistanceComputer& dist, const float* query,
+    std::vector<uint32_t>* candidates, float radius, const IdSelector* filter,
+    RadiusRowCounts* counts, ScoreScratch* scratch);
 
 /// Parallel per-query driver: runs `row_fn(q, &result)` for every query
 /// (sharded over the pool under options.num_threads), where row_fn returns
@@ -148,6 +148,14 @@ std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
 RadiusResult CollectRadiusRows(
     size_t num_queries, const RadiusOptions& options,
     const std::function<std::vector<Neighbor>(size_t, RadiusResult*)>& row_fn);
+
+/// CollectRadiusRows with the loop inside the caller: `chunk_fn(begin, end,
+/// &result, rows)` fills rows[q] (and the per-query entries) for every q in
+/// [begin, end), so buffers it allocates serve a whole chunk of queries.
+RadiusResult CollectRadiusChunks(
+    size_t num_queries, const RadiusOptions& options,
+    const std::function<void(size_t, size_t, RadiusResult*,
+                             std::vector<Neighbor>*)>& chunk_fn);
 
 }  // namespace usp
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <set>
 #include <string>
@@ -17,6 +18,8 @@
 #include "dataset/io.h"
 #include "dataset/synthetic.h"
 #include "dataset/workload.h"
+#include "index/serialize.h"
+#include "ivf/ivf.h"
 #include "tensor/ops.h"
 
 namespace usp {
@@ -235,6 +238,118 @@ TEST(KMeansPartitionerTest, ScoreArgmaxMatchesNearestCentroid) {
       }
     }
     EXPECT_EQ(bins[q], best_c);
+  }
+}
+
+// ScoreBins recomputed from the partitioner's centroids without its cached
+// centroid norms: the uncached PairwiseSquaredDistances for L2, the plain
+// GEMMs for inner product and cosine.
+Matrix UncachedScores(const KMeansPartitioner& partitioner,
+                      MatrixView points) {
+  const Matrix& centroids = partitioner.centroids();
+  Matrix scores(points.rows(), centroids.rows());
+  switch (partitioner.metric()) {
+    case Metric::kSquaredL2:
+      PairwiseSquaredDistances(points, centroids, &scores);
+      for (size_t i = 0; i < scores.size(); ++i) {
+        scores.data()[i] = -scores.data()[i];
+      }
+      break;
+    case Metric::kInnerProduct:
+      GemmTransposedB(points, centroids, &scores);
+      break;
+    case Metric::kCosine: {
+      Matrix normalized = points.Clone();
+      NormalizeRows(&normalized);
+      GemmTransposedB(normalized, centroids, &scores);
+      break;
+    }
+  }
+  return scores;
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
+// A batch score and every one-query score (which runs inline, off the pool)
+// equal the uncached computation bit for bit.
+void ExpectScoresMatchUncached(const KMeansPartitioner& partitioner,
+                               const Matrix& queries) {
+  ExpectSameBits(partitioner.ScoreBins(queries),
+                 UncachedScores(partitioner, queries));
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const MatrixView one(queries.Row(q), 1, queries.cols());
+    ExpectSameBits(partitioner.ScoreBins(one),
+                   UncachedScores(partitioner, one));
+  }
+}
+
+TEST(KMeansPartitionerTest, CachedCentroidNormsScoreLikeUncachedPath) {
+  Rng rng(21);
+  const Matrix data = Matrix::RandomGaussian(400, 16, &rng);
+  const Matrix queries = Matrix::RandomGaussian(40, 16, &rng);
+  KMeansConfig config;
+  config.num_clusters = 12;
+  config.seed = 22;
+  const KMeansPartitioner trained(data, config);
+  ExpectScoresMatchUncached(trained, queries);
+
+  for (Metric metric :
+       {Metric::kSquaredL2, Metric::kInnerProduct, Metric::kCosine}) {
+    SCOPED_TRACE(testing::Message() << "metric " << static_cast<int>(metric));
+    ExpectScoresMatchUncached(
+        KMeansPartitioner(trained.centroids().Clone(), metric), queries);
+    ExpectScoresMatchUncached(KMeansPartitioner::FromTrainedCentroids(
+                                  trained.centroids().Clone(), metric),
+                              queries);
+  }
+}
+
+TEST(KMeansPartitionerTest, LoadedIvfQuantizersScoreLikeUncachedPath) {
+  Rng rng(23);
+  const Matrix data = Matrix::RandomGaussian(400, 16, &rng);
+  const Matrix queries = Matrix::RandomGaussian(40, 16, &rng);
+  for (Metric metric :
+       {Metric::kSquaredL2, Metric::kInnerProduct, Metric::kCosine}) {
+    IvfConfig config;
+    config.nlist = 12;
+    config.seed = 24;
+    config.metric = metric;
+    config.pq.num_subspaces = 4;
+    config.pq.codebook_size = 16;
+    config.pq.seed = 25;
+    const IvfFlatIndex flat(&data, config);
+    const IvfPqIndex pq(&data, config);
+    const std::pair<const char*, const Index*> built[] = {{"ivf_flat", &flat},
+                                                          {"ivf_pq", &pq}};
+    for (const auto& [name, index] : built) {
+      const std::string path =
+          testing::TempDir() + "/" + std::string(name) + "_norms.usp";
+      ASSERT_TRUE(SaveIndex(*index, path).ok());
+      for (LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+        SCOPED_TRACE(testing::Message()
+                     << name << " metric " << static_cast<int>(metric)
+                     << " mode " << static_cast<int>(mode));
+        auto opened = OpenIndex(path, mode);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        const Index& loaded = opened.value()->underlying();
+        const KMeansPartitioner* quantizer = nullptr;
+        if (const auto* f = dynamic_cast<const IvfFlatIndex*>(&loaded)) {
+          quantizer = &f->coarse_quantizer();
+        } else if (const auto* p = dynamic_cast<const IvfPqIndex*>(&loaded)) {
+          quantizer = &p->coarse_quantizer();
+        }
+        ASSERT_NE(quantizer, nullptr);
+        ExpectScoresMatchUncached(*quantizer, queries);
+      }
+      std::remove(path.c_str());
+    }
+    ExpectScoresMatchUncached(flat.coarse_quantizer(), queries);
+    ExpectScoresMatchUncached(pq.coarse_quantizer(), queries);
   }
 }
 

@@ -13,6 +13,8 @@
 #include "core/partition_index.h"
 #include "core/partitioner.h"
 #include "dataset/workload.h"
+#include "index/id_selector.h"
+#include "knn/brute_force.h"
 
 namespace usp {
 namespace {
@@ -275,6 +277,179 @@ TEST(EnsembleTest, UnionCombineGathersMoreCandidates) {
   const auto union_result = union_ensemble.SearchBatch(w.queries, 10, 1);
   const auto best_result = best_ensemble.SearchBatch(w.queries, 10, 1);
   EXPECT_GE(union_result.MeanCandidates(), best_result.MeanCandidates());
+}
+
+// The union combine is the one gather whose sources overlap: several members
+// probe bins holding the same point. It dedupes its own union, and the rerank
+// and range filter after it score the gathered ids as given. These tests pin
+// that no id repeats in a row, that candidate_counts is the distinct union
+// count (minus selector-rejected ids), and that a full-budget union is
+// bit-identical to brute force, for k-NN and radius, with and without a
+// filter.
+class EnsembleUnionTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kBins = 8;
+
+  static const UspEnsemble& Union() {
+    static const UspEnsemble* ensemble = [] {
+      UspEnsembleConfig config;
+      config.model = FastConfig(kBins);
+      config.num_models = 3;
+      config.combine = EnsembleCombine::kUnion;
+      auto* e = new UspEnsemble(config);
+      e->Train(SmallWorkload().base, SmallWorkload().knn_matrix);
+      return e;
+    }();
+    return *ensemble;
+  }
+
+  // Every id not divisible by 3.
+  static const IdSelectorArray& Filter() {
+    static const IdSelectorArray* filter = [] {
+      std::vector<uint32_t> ids;
+      for (uint32_t i = 0; i < SmallWorkload().base.rows(); ++i) {
+        if (i % 3 != 0) ids.push_back(i);
+      }
+      return new IdSelectorArray(std::move(ids));
+    }();
+    return *filter;
+  }
+
+  // Per query: the distinct union of the members' probed bins, gathered
+  // outside the ensemble. *gathered receives the union's size with repeats.
+  static std::vector<std::vector<uint32_t>> DistinctUnion(size_t budget,
+                                                          size_t* gathered) {
+    const Workload& w = SmallWorkload();
+    const UspEnsemble& e = Union();
+    std::vector<std::vector<uint32_t>> rows(w.queries.rows());
+    *gathered = 0;
+    std::vector<uint32_t> member_ids;
+    for (size_t j = 0; j < e.num_models(); ++j) {
+      const PartitionIndex member(&w.base, &e.model(j));
+      const Matrix scores = e.model(j).ScoreBins(w.queries);
+      for (size_t q = 0; q < rows.size(); ++q) {
+        member.CollectCandidates(scores.Row(q), budget, &member_ids);
+        *gathered += member_ids.size();
+        rows[q].insert(rows[q].end(), member_ids.begin(), member_ids.end());
+      }
+    }
+    for (auto& row : rows) {
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
+    }
+    return rows;
+  }
+
+  static uint32_t CountAllowed(const std::vector<uint32_t>& ids,
+                               const IdSelector* filter) {
+    if (filter == nullptr) return static_cast<uint32_t>(ids.size());
+    return static_cast<uint32_t>(
+        std::count_if(ids.begin(), ids.end(),
+                      [&](uint32_t id) { return filter->is_member(id); }));
+  }
+
+  static void ExpectDistinct(const uint32_t* ids, size_t count) {
+    std::vector<uint32_t> row;
+    for (size_t i = 0; i < count; ++i) {
+      if (ids[i] != kInvalidId) row.push_back(ids[i]);
+    }
+    std::sort(row.begin(), row.end());
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end()) == row.end());
+  }
+};
+
+TEST_F(EnsembleUnionTest, KnnCountsDistinctCandidatesAndMatchesBruteForce) {
+  const Workload& w = SmallWorkload();
+  const UspEnsemble& e = Union();
+  const IdSelectorAll all;
+  for (const IdSelector* filter : {static_cast<const IdSelector*>(nullptr),
+                                   static_cast<const IdSelector*>(&Filter())}) {
+    for (size_t budget : {size_t{1}, size_t{3}, kBins}) {
+      SCOPED_TRACE(testing::Message() << "budget " << budget << " filtered "
+                                      << (filter != nullptr));
+      size_t gathered = 0;
+      const auto expected = DistinctUnion(budget, &gathered);
+      size_t distinct = 0;
+      for (const auto& row : expected) distinct += row.size();
+      EXPECT_GT(gathered, distinct) << "members' bins should overlap";
+
+      SearchOptions options;
+      options.k = 10;
+      options.budget = budget;
+      options.num_threads = 1;
+      options.filter = filter;
+      options.stats = true;
+      options.plan = PlanMode::kForcePushdown;
+      const BatchSearchResult result = e.SearchBatch({w.queries, options});
+      ASSERT_TRUE(result.stats.has_value());
+      for (size_t q = 0; q < w.queries.rows(); ++q) {
+        ExpectDistinct(result.Row(q), result.k);
+        const uint32_t allowed = CountAllowed(expected[q], filter);
+        EXPECT_EQ(result.candidate_counts[q], allowed);
+        EXPECT_EQ(result.stats->candidates_scored[q], allowed);
+        EXPECT_EQ(result.stats->filtered_out[q],
+                  expected[q].size() - allowed);
+      }
+      if (budget == kBins) {
+        const KnnResult truth =
+            BruteForceKnn(w.base, w.queries, options.k, Metric::kSquaredL2,
+                          filter != nullptr ? filter : &all);
+        EXPECT_EQ(result.ids, truth.indices);
+        EXPECT_EQ(result.distances, truth.distances);
+      }
+    }
+  }
+}
+
+TEST_F(EnsembleUnionTest, RadiusCountsDistinctCandidatesAndMatchesBruteForce) {
+  const Workload& w = SmallWorkload();
+  const UspEnsemble& e = Union();
+  // About the median 10th-neighbor distance: rows of a few to tens of hits.
+  const KnnResult knn = BruteForceKnn(w.base, w.queries, 10);
+  std::vector<float> tenth;
+  for (size_t q = 0; q < w.queries.rows(); ++q) {
+    tenth.push_back(knn.distances[q * knn.k + 9]);
+  }
+  std::nth_element(tenth.begin(), tenth.begin() + tenth.size() / 2,
+                   tenth.end());
+  const float radius = tenth[tenth.size() / 2];
+
+  for (const IdSelector* filter : {static_cast<const IdSelector*>(nullptr),
+                                   static_cast<const IdSelector*>(&Filter())}) {
+    for (size_t budget : {size_t{1}, size_t{3}, kBins}) {
+      SCOPED_TRACE(testing::Message() << "budget " << budget << " filtered "
+                                      << (filter != nullptr));
+      size_t gathered = 0;
+      const auto expected = DistinctUnion(budget, &gathered);
+
+      RadiusRequest request;
+      request.queries = w.queries;
+      request.radius = radius;
+      request.options.budget = budget;
+      request.options.num_threads = 1;
+      request.options.filter = filter;
+      request.options.stats = true;
+      const RadiusResult result = e.RadiusSearchBatch(request);
+      ASSERT_TRUE(result.stats.has_value());
+      for (size_t q = 0; q < w.queries.rows(); ++q) {
+        ExpectDistinct(result.RowIds(q), result.RowSize(q));
+        const uint32_t allowed = CountAllowed(expected[q], filter);
+        EXPECT_EQ(result.candidate_counts[q], allowed);
+        EXPECT_EQ(result.stats->candidates_scored[q], allowed);
+        EXPECT_EQ(result.stats->filtered_out[q],
+                  expected[q].size() - allowed);
+      }
+      if (budget == kBins) {
+        RadiusOptions exact;
+        exact.filter = filter;
+        const RadiusResult truth = BruteForceRadius(
+            w.base, w.queries, radius, Metric::kSquaredL2, exact);
+        EXPECT_EQ(result.offsets, truth.offsets);
+        EXPECT_EQ(result.ids, truth.ids);
+        EXPECT_EQ(result.distances, truth.distances);
+      }
+    }
+  }
 }
 
 TEST(HierarchicalTest, TotalBinsIsFanoutProduct) {

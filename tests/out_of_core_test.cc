@@ -147,6 +147,13 @@ struct AcceptanceCase {
   Metric metric;
 };
 
+// Without a printer GoogleTest lists the parameter as raw bytes (a string
+// pointer plus padding), so the discovered test name would change from run
+// to run under address-space randomisation.
+void PrintTo(const AcceptanceCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class OutOfCoreAcceptanceTest
     : public testing::TestWithParam<AcceptanceCase> {};
 
